@@ -16,6 +16,9 @@ split, which is the "w/ Routing" ablation configuration of Fig. 11.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from repro.core.attention_engine import AttentionEngine, RingGroup
 from repro.core.chunking import ChunkAssignment, zigzag_assignment
@@ -34,9 +37,10 @@ class BatchRingGroup:
 
     Duck-types the :class:`~repro.core.attention_engine.RingGroup` interface
     used by the attention engine's ring emitter: per round, the compute of a
-    rank is the sum over sequences of its causal-visible pairs, and the payload
-    it forwards is the sum of its owned KV chunks across sequences — matching
-    how Transformer Engine batches all sequences into each ring round.
+    rank is the sum over sequences of its causal-visible pairs (the sum of the
+    sequences' pair matrices), and the payload it forwards is the sum of its
+    owned KV chunks across sequences — matching how Transformer Engine batches
+    all sequences into each ring round.
     """
 
     spec: RingSpec
@@ -49,8 +53,12 @@ class BatchRingGroup:
     def tokens_of(self, ring_index: int) -> int:
         return sum(g.tokens_of(ring_index) for g in self.per_sequence)
 
-    def round_pairs(self, ring_index: int, round_index: int) -> float:
-        return sum(g.round_pairs(ring_index, round_index) for g in self.per_sequence)
+    @cached_property
+    def pair_matrix(self) -> np.ndarray:
+        total = np.zeros((self.group_size, self.group_size), dtype=np.int64)
+        for group in self.per_sequence:
+            total += group.pair_matrix
+        return total
 
 
 @register_strategy(
@@ -107,7 +115,9 @@ class TransformerEngineCPStrategy(Strategy):
 
     def tokens_per_rank(self, batch: Batch) -> dict[int, int]:
         """Even split: every DP rank holds ``total_tokens / world`` tokens."""
-        ring = self.build_global_ring(batch)
+        return self._ring_tokens(self.build_global_ring(batch))
+
+    def _ring_tokens(self, ring: BatchRingGroup) -> dict[int, int]:
         return {
             rank: ring.tokens_of(i) for i, rank in enumerate(self.context.dp_ranks)
         }
@@ -127,7 +137,6 @@ class TransformerEngineCPStrategy(Strategy):
             plan, ring, self.spec, compute_factor, comm_factor, rank_tasks
         )
 
-        tokens_per_rank = self.tokens_per_rank(batch)
-        self.emit_linear(plan, tokens_per_rank, rank_tasks, phase=phase)
+        self.emit_linear(plan, self._ring_tokens(ring), rank_tasks, phase=phase)
         plan.validate()
         return plan

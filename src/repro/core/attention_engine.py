@@ -23,6 +23,9 @@ sum to the monolithic causal cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from repro.cluster.topology import Cluster
 from repro.core.chunking import ChunkAssignment, contiguous_assignment, zigzag_assignment
@@ -75,6 +78,32 @@ def causal_pairs_between(
     return total
 
 
+def ring_pair_matrix(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """All-pairs causal counts of a ring's chunks, in one int64 pass.
+
+    ``starts`` and ``lengths`` are ``(G, C)`` arrays: the ``(start, length)``
+    of each ring rank's ``C`` chunks.  Entry ``[i, o]`` of the ``(G, G)``
+    result is the number of causal pairs rank ``i``'s query chunks see in rank
+    ``o``'s KV chunks — :func:`causal_pairs_between` summed over every chunk
+    pair, evaluated on a ``(G, C, G, C)`` grid.  Counts are exact integers:
+    the prefix region is an arithmetic series whose ``count * (first +
+    last)`` is always even.
+    """
+    q_lo = starts[:, :, None, None]
+    q_hi = q_lo + lengths[:, :, None, None] - 1
+    kv_start = starts[None, None, :, :]
+    kv_len = lengths[None, None, :, :]
+    kv_end = kv_start + kv_len
+    # Queries at p >= kv_end - 1 see the whole KV chunk.
+    full = np.maximum(q_hi - np.maximum(q_lo, kv_end - 1) + 1, 0) * kv_len
+    # Queries at kv_start <= p < kv_end - 1 see a prefix of it.
+    part_lo = np.maximum(q_lo, kv_start)
+    part_hi = np.minimum(q_hi, kv_end - 2)
+    count = np.maximum(part_hi - part_lo + 1, 0)
+    part = count * (part_lo + part_hi + 2 - 2 * kv_start) // 2
+    return (full + part).sum(axis=(1, 3))
+
+
 @dataclass(frozen=True)
 class RingGroup:
     """A ring specification plus the chunk assignment of each member rank."""
@@ -89,23 +118,22 @@ class RingGroup:
     def tokens_of(self, ring_index: int) -> int:
         return self.assignments[ring_index].tokens
 
-    def query_chunks(self, ring_index: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        a = self.assignments[ring_index]
-        return (a.head_chunk, a.tail_chunk)
+    @cached_property
+    def pair_matrix(self) -> np.ndarray:
+        """``(G, G)`` int64: ``[i, o]`` = pairs rank ``i`` sees in owner ``o``'s KV."""
+        chunks = np.array(
+            [(a.head_chunk, a.tail_chunk) for a in self.assignments], dtype=np.int64
+        )
+        return ring_pair_matrix(chunks[..., 0], chunks[..., 1])
 
-    def round_pairs(self, ring_index: int, round_index: int) -> float:
+    def round_pairs(self, ring_index: int, round_index: int) -> int:
         """Causal pairs rank ``ring_index`` evaluates in round ``round_index``.
 
         In round ``k`` the rank holds the KV chunks originally owned by ring
         index ``(ring_index - k) mod G``.
         """
-        g = self.group_size
-        owner = (ring_index - round_index) % g
-        pairs = 0.0
-        for q_chunk in self.query_chunks(ring_index):
-            for kv_chunk in self.query_chunks(owner):
-                pairs += causal_pairs_between(q_chunk, kv_chunk)
-        return pairs
+        owner = (ring_index - round_index) % self.group_size
+        return int(self.pair_matrix[ring_index, owner])
 
 
 @dataclass
@@ -229,32 +257,44 @@ class AttentionEngine:
         priority = _PRIORITY[ring.zone]
         kv_per_token = self.comm.kv_chunk_bytes(spec, 1)
 
+        # pairs[i][o]: causal pairs rank i computes against owner o's KV chunks
+        # (exact integers, so float() gives the bit-identical durations).
+        pairs = group.pair_matrix.tolist()
+        owner_tokens = [group.tokens_of(o) for o in range(g)]
+        # Rings repeat few pair counts (60 distinct of te_cp's 16,384 at G=128).
+        durations: dict[int, float] = {}
+        compute_resources = [(ExecutionPlan.compute_resource(r),) for r in ring.ranks]
+        zone = ring.zone.value
+
         # recv_ready[i] holds the task id after which rank i holds the payload
         # for the *next* round (i.e. the hop into rank i has completed).
         recv_ready: list[int | None] = [None] * g
 
         for round_index in range(g):
-            compute_ids: list[int | None] = [None] * g
+            label = f"{zone}:seq{ring.seq_id}:r{round_index}"
             for i, rank in enumerate(ring.ranks):
-                pairs = group.round_pairs(i, round_index)
-                deps = list(initial_deps) if recv_ready[i] is None else []
-                if recv_ready[i] is not None:
-                    deps.append(recv_ready[i])
-                if pairs > 0:
-                    duration = (
-                        self.compute.attention_pairs_time(spec, pairs, num_layers=1)
-                        * compute_factor
-                    )
-                    compute_ids[i] = plan.add(
-                        name=f"attn:{ring.zone.value}:seq{ring.seq_id}:r{round_index}:rank{rank}",
+                round_pairs = pairs[i][(i - round_index) % g]
+                if round_pairs > 0:
+                    ready = recv_ready[i]
+                    deps = list(initial_deps) if ready is None else [ready]
+                    duration = durations.get(round_pairs)
+                    if duration is None:
+                        duration = durations[round_pairs] = (
+                            self.compute.attention_pairs_time(
+                                spec, float(round_pairs), num_layers=1
+                            )
+                            * compute_factor
+                        )
+                    tid = plan.add(
+                        name=f"attn:{label}:rank{rank}",
                         kind=TaskKind.ATTENTION,
                         duration_s=duration,
-                        resources=(ExecutionPlan.compute_resource(rank),),
+                        resources=compute_resources[i],
                         deps=deps,
                         rank=rank,
                         priority=priority,
                     )
-                    rank_tasks[rank].append(compute_ids[i])
+                    rank_tasks[rank].append(tid)
 
             if round_index == g - 1:
                 break
@@ -263,12 +303,10 @@ class AttentionEngine:
             new_recv_ready: list[int | None] = [None] * g
             for i, rank in enumerate(ring.ranks):
                 owner = (i - round_index) % g
-                payload_tokens = group.tokens_of(owner)
-                nbytes = payload_tokens * kv_per_token * comm_factor
+                nbytes = owner_tokens[owner] * kv_per_token * comm_factor
                 dst_rank = ring.ranks[(i + 1) % g]
-                deps = list(initial_deps) if recv_ready[i] is None else []
-                if recv_ready[i] is not None:
-                    deps.append(recv_ready[i])
+                ready = recv_ready[i]
+                deps = list(initial_deps) if ready is None else [ready]
                 hop_end = self._emit_hop(
                     plan,
                     src_rank=rank,
@@ -277,7 +315,7 @@ class AttentionEngine:
                     ring_ranks=ring.ranks,
                     deps=deps,
                     priority=priority,
-                    label=f"{ring.zone.value}:seq{ring.seq_id}:r{round_index}",
+                    label=label,
                 )
                 new_recv_ready[(i + 1) % g] = hop_end
             recv_ready = new_recv_ready

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from repro.cluster.topology import Cluster
@@ -123,16 +124,10 @@ class RemappingLayer:
     def cost_matrix(self, ranks: tuple[int, ...]) -> np.ndarray:
         """Symmetric per-token transfer cost between ranks (``T`` in Eq. 2)."""
         profile = self.cluster.profile
-        n = len(ranks)
-        t = np.zeros((n, n), dtype=float)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                if self.cluster.same_node(ranks[i], ranks[j]):
-                    t[i, j] = profile.b_intra
-                else:
-                    t[i, j] = profile.b_inter
+        nodes = np.array([self.cluster.gpu(r).node_id for r in ranks])
+        same_node = nodes[:, None] == nodes[None, :]
+        t = np.where(same_node, profile.b_intra, profile.b_inter)
+        np.fill_diagonal(t, 0.0)
         return t
 
     # -- plan construction -----------------------------------------------------------
@@ -201,7 +196,9 @@ class RemappingLayer:
 
         Variables: the ``n*n`` entries of ``M`` plus the bound ``t``.
         Minimise ``t`` subject to per-row cost <= ``t``, row sums equal to the
-        surplus, and column sums equal to the deficit.
+        surplus, and column sums equal to the deficit.  The constraint
+        matrices are built sparse with exactly the nonzeros of their dense
+        form, which is the CSC problem HiGHS receives either way.
         """
         n = len(surplus)
         num_m = n * n
@@ -209,25 +206,31 @@ class RemappingLayer:
         c[-1] = 1.0  # minimise t
 
         # Row cost constraints: sum_j cost[i, j] * M[i, j] - t <= 0.
-        a_ub = np.zeros((n, num_m + 1))
-        for i in range(n):
-            a_ub[i, i * n : (i + 1) * n] = cost[i]
-            a_ub[i, -1] = -1.0
+        rows, cols = np.nonzero(cost)
+        a_ub = sparse.csr_array(
+            (
+                np.concatenate([cost[rows, cols], np.full(n, -1.0)]),
+                (
+                    np.concatenate([rows, np.arange(n)]),
+                    np.concatenate([rows * n + cols, np.full(n, num_m)]),
+                ),
+            ),
+            shape=(n, num_m + 1),
+        )
         b_ub = np.zeros(n)
 
         # Equality constraints: row sums = surplus, column sums = deficit.
-        a_eq = np.zeros((2 * n, num_m + 1))
-        b_eq = np.zeros(2 * n)
-        for i in range(n):
-            a_eq[i, i * n : (i + 1) * n] = 1.0
-            b_eq[i] = surplus[i]
-        for j in range(n):
-            a_eq[n + j, j::n] = 1.0
-            # Guard against the column block accidentally including t.
-            a_eq[n + j, -1] = 0.0
-            b_eq[n + j] = deficit[j]
+        m_ids = np.arange(num_m)
+        a_eq = sparse.csr_array(
+            (
+                np.ones(2 * num_m),
+                np.concatenate([m_ids, m_ids.reshape(n, n).T.ravel()]),
+                np.arange(0, 2 * num_m + 1, n),
+            ),
+            shape=(2 * n, num_m + 1),
+        )
+        b_eq = np.concatenate([surplus, deficit])
 
-        bounds = [(0, None)] * num_m + [(0, None)]
         try:
             result = linprog(
                 c,
@@ -235,7 +238,7 @@ class RemappingLayer:
                 b_ub=b_ub,
                 A_eq=a_eq,
                 b_eq=b_eq,
-                bounds=bounds,
+                bounds=(0, None),
                 method="highs",
             )
         except Exception:  # pragma: no cover - scipy failure is environment-specific

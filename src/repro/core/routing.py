@@ -25,7 +25,7 @@ list a strategy turns into simulator tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.cluster.topology import Cluster
 from repro.utils.validation import check_non_negative, check_positive
@@ -98,6 +98,10 @@ class RoutingLayer:
 
     cluster: Cluster
     enabled: bool = True
+    # route() memo: decisions are frozen, so equal hops share one.
+    _decisions: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- proxy selection ----------------------------------------------------------
 
@@ -160,8 +164,25 @@ class RoutingLayer:
         ``ring_ranks`` are the ranks of the ring the hop belongs to; ring
         members on the source/destination nodes are preferred as proxies (they
         already hold related data), and the proxy counts are matched so that
-        senders and receivers pair one-to-one (§3.3).
+        senders and receivers pair one-to-one (§3.3).  Decisions are memoised
+        per ``(src_rank, dst_rank, nbytes, ring_ranks)``; the ring's ranks are
+        part of the key because they pick the proxies.
         """
+        ring_ranks = tuple(ring_ranks)
+        key = (src_rank, dst_rank, nbytes, ring_ranks)
+        decision = self._decisions.get(key)
+        if decision is None:
+            decision = self._decide(src_rank, dst_rank, nbytes, ring_ranks)
+            self._decisions[key] = decision
+        return decision
+
+    def _decide(
+        self,
+        src_rank: int,
+        dst_rank: int,
+        nbytes: float,
+        ring_ranks: tuple[int, ...],
+    ) -> RoutingDecision:
         check_non_negative("nbytes", nbytes)
         if self.cluster.same_node(src_rank, dst_rank):
             raise ValueError("routing only applies to inter-node hops")

@@ -111,9 +111,11 @@ def summarize_events(events: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
     """Aggregate an event stream into the ``repro obs report`` summary.
 
     Returns a plain dict: per-type event counts, a span time breakdown
-    (count, total seconds per span path), cache hit/miss tallies by scope,
-    cluster job lifecycle totals, request latency aggregates, batched
-    simulation totals, and the final values of any flushed counters/gauges.
+    (count, inclusive ``total_s`` and ``self_s`` per span path, where self
+    time excludes the direct children ``path/<name>``), cache hit/miss
+    tallies by scope, cluster job lifecycle totals, request latency
+    aggregates, batched simulation totals, and the final values of any
+    flushed counters/gauges.
     """
     type_counts: dict[str, int] = {}
     spans: dict[str, dict[str, float]] = {}
@@ -170,6 +172,16 @@ def summarize_events(events: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
         elif event_type == "gauge":
             gauges[doc["name"]] = float(doc["value"])
 
+    for entry in spans.values():
+        entry["self_s"] = entry["total_s"]
+    for name, entry in spans.items():
+        parent = spans.get(name.rpartition("/")[0])
+        if parent is not None:
+            parent["self_s"] -= entry["total_s"]
+    for entry in spans.values():
+        # Children run in parallel workers can outlast their parent's wall time.
+        entry["self_s"] = max(0.0, entry["self_s"])
+
     return {
         "num_events": sum(type_counts.values()),
         "duration_s": round(max(0.0, last_t - (first_t or 0.0)), 6),
@@ -195,21 +207,25 @@ def render_report(summary: Mapping[str, Any]) -> str:
         rows = [[name, count] for name, count in summary["event_counts"].items()]
         parts.append(render_table(["event", "count"], rows))
     if summary["spans"]:
-        grand_total = sum(s["total_s"] for s in summary["spans"].values())
+        # Shares of self time, so nested span paths add up to 100%.
+        grand_total = sum(s["self_s"] for s in summary["spans"].values())
         rows = [
             [
                 name,
                 int(entry["count"]),
                 f"{entry['total_s']:.3f}",
+                f"{entry['self_s']:.3f}",
                 (
-                    f"{100.0 * entry['total_s'] / grand_total:.1f}%"
+                    f"{100.0 * entry['self_s'] / grand_total:.1f}%"
                     if grand_total
                     else "-"
                 ),
             ]
             for name, entry in summary["spans"].items()
         ]
-        parts.append(render_table(["span", "count", "total_s", "share"], rows))
+        parts.append(
+            render_table(["span", "count", "total_s", "self_s", "share"], rows)
+        )
     if summary["cache"]:
         rows = [
             [scope, entry["hits"], entry["misses"]]

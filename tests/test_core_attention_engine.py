@@ -1,9 +1,18 @@
 """Tests for the attention engine: queues, ring rounds, routed hops."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.attention_engine import AttentionEngine, causal_pairs_between
-from repro.core.partitioner import SequencePartitioner
+from repro.baselines.te_cp import TransformerEngineCPStrategy
+from repro.core.attention_engine import (
+    AttentionEngine,
+    RingGroup,
+    causal_pairs_between,
+)
+from repro.core.chunking import contiguous_assignment, zigzag_assignment
+from repro.core.partitioner import RingSpec, SequencePartitioner
 from repro.core.plan import ExecutionPlan, TaskKind
 from repro.core.routing import RoutingLayer
 from repro.core.zones import Zone
@@ -80,7 +89,61 @@ class TestQueueConstruction:
                 for i in range(group.group_size)
                 for r in range(group.group_size)
             )
-            assert total_pairs == pytest.approx(seq_len * (seq_len + 1) / 2)
+            assert total_pairs == seq_len * (seq_len + 1) // 2
+
+
+def make_ring_group(seq_len, group_size, balanced=True):
+    assign = zigzag_assignment if balanced else contiguous_assignment
+    spec = RingSpec(
+        ring_id=0,
+        seq_id=0,
+        zone=Zone.INTER_NODE,
+        ranks=tuple(range(group_size)),
+        seq_len=seq_len,
+    )
+    return RingGroup(spec=spec, assignments=tuple(assign(seq_len, group_size)))
+
+
+class TestPairMatrix:
+    """The int64 ring-pair kernel against the scalar ``causal_pairs_between``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # Short sequences give zero-length chunks (seq_len < 2G or < G).
+        seq_len=st.one_of(
+            st.integers(min_value=1, max_value=300),
+            st.integers(min_value=1, max_value=300_000),
+        ),
+        group_size=st.integers(min_value=2, max_value=128),
+        balanced=st.booleans(),
+    )
+    def test_matches_scalar_oracle_exactly(self, seq_len, group_size, balanced):
+        group = make_ring_group(seq_len, group_size, balanced)
+        matrix = group.pair_matrix
+        assert matrix.dtype == np.int64
+        assert matrix.shape == (group_size, group_size)
+        chunks = [(a.head_chunk, a.tail_chunk) for a in group.assignments]
+        for i, q_chunks in enumerate(chunks):
+            for o, kv_chunks in enumerate(chunks):
+                expected = sum(
+                    causal_pairs_between(q, kv) for q in q_chunks for kv in kv_chunks
+                )
+                assert matrix[i, o] == expected, (i, o)
+        assert int(matrix.sum()) == seq_len * (seq_len + 1) // 2
+
+    def test_round_reads_the_owner_column(self):
+        group = make_ring_group(1000, 8)
+        for i in range(8):
+            for k in range(8):
+                assert group.round_pairs(i, k) == group.pair_matrix[i, (i - k) % 8]
+
+    def test_batch_ring_is_the_sum_of_sequence_matrices(self, context_16, mixed_batch):
+        ring = TransformerEngineCPStrategy(context_16).build_global_ring(mixed_batch)
+        assert ring.pair_matrix.dtype == np.int64
+        expected = sum(group.pair_matrix for group in ring.per_sequence)
+        assert np.array_equal(ring.pair_matrix, expected)
+        total = sum(s.length * (s.length + 1) // 2 for s in mixed_batch)
+        assert int(ring.pair_matrix.sum()) == total
 
 
 class TestEmission:

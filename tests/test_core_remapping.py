@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from repro.cluster.presets import cluster_a
 from repro.core.remapping import RemappingLayer
 
 
@@ -101,6 +103,68 @@ class TestCostMatrix:
         assert t[0, 2] == pytest.approx(profile.b_inter)
         assert t[0, 0] == 0.0
         np.testing.assert_allclose(t, t.T)
+
+
+    def test_matches_pairwise_same_node_loop(self):
+        cluster = cluster_a(num_nodes=4)
+        layer = RemappingLayer(cluster=cluster)
+        ranks = (0, 3, 8, 9, 17, 31)
+        t = layer.cost_matrix(ranks)
+        profile = cluster.profile
+        for i, a in enumerate(ranks):
+            for j, b in enumerate(ranks):
+                if i == j:
+                    expected = 0.0
+                elif cluster.same_node(a, b):
+                    expected = profile.b_intra
+                else:
+                    expected = profile.b_inter
+                assert t[i, j] == expected
+
+
+def dense_linprog(surplus, deficit, cost):
+    """The remapping LP built from dense constraint matrices (test oracle)."""
+    n = len(surplus)
+    num_m = n * n
+    c = np.zeros(num_m + 1)
+    c[-1] = 1.0
+    a_ub = np.zeros((n, num_m + 1))
+    for i in range(n):
+        a_ub[i, i * n : (i + 1) * n] = cost[i]
+        a_ub[i, -1] = -1.0
+    a_eq = np.zeros((2 * n, num_m + 1))
+    for i in range(n):
+        a_eq[i, i * n : (i + 1) * n] = 1.0
+    for j in range(n):
+        a_eq[n + j, j:num_m:n] = 1.0
+    result = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=np.zeros(n),
+        A_eq=a_eq,
+        b_eq=np.concatenate([surplus, deficit]),
+        bounds=[(0, None)] * (num_m + 1),
+        method="highs",
+    )
+    assert result.success
+    matrix = np.array(result.x[:num_m]).reshape(n, n)
+    matrix[matrix < 1e-9] = 0.0
+    np.fill_diagonal(matrix, 0.0)
+    return matrix
+
+
+class TestSparseLP:
+    @pytest.mark.parametrize("num_ranks", [8, 16, 64, 128])
+    def test_sparse_lp_equals_dense_lp(self, num_ranks):
+        layer = RemappingLayer(cluster=cluster_a(num_nodes=num_ranks // 8))
+        rng = np.random.default_rng(num_ranks)
+        tokens = rng.integers(0, 20_000, size=num_ranks).astype(float)
+        mean = tokens.mean()
+        surplus = np.maximum(tokens - mean, 0.0)
+        deficit = np.maximum(mean - tokens, 0.0)
+        cost = layer.cost_matrix(tuple(range(num_ranks))) * 4096.0
+        matrix = layer._solve_linprog(surplus, deficit, cost)
+        assert np.array_equal(matrix, dense_linprog(surplus, deficit, cost))
 
 
 class TestRemappingProperties:

@@ -68,6 +68,41 @@ class TestRouteDecomposition:
         assert len(decision.transfers_for_step("transfer")) == decision.x1
 
 
+class TestRouteMemo:
+    def test_repeated_hop_shares_one_decision(self, cluster_a2):
+        routing = RoutingLayer(cluster=cluster_a2)
+        first = routing.route(0, 8, nbytes=64e6, ring_ranks=(0, 3, 8, 11))
+        again = routing.route(0, 8, nbytes=64e6, ring_ranks=(0, 3, 8, 11))
+        assert again is first
+
+    def test_disabled_routing_is_memoised_too(self, cluster_a2):
+        routing = RoutingLayer(cluster=cluster_a2, enabled=False)
+        assert routing.route(0, 8, nbytes=1e6) is routing.route(0, 8, nbytes=1e6)
+
+    def test_different_bytes_are_not_shared(self, cluster_a2):
+        routing = RoutingLayer(cluster=cluster_a2)
+        small = routing.route(0, 8, nbytes=1e6)
+        large = routing.route(0, 8, nbytes=2e6)
+        assert small is not large
+        assert (small.total_bytes, large.total_bytes) == (1e6, 2e6)
+
+    def test_different_rings_are_not_shared(self, cluster_a2):
+        routing = RoutingLayer(cluster=cluster_a2)
+        ring_a = routing.route(0, 8, nbytes=8e6, ring_ranks=(0, 8))
+        ring_b = routing.route(0, 8, nbytes=8e6, ring_ranks=(0, 2, 8, 10))
+        assert ring_a is not ring_b
+        # The memo returns exactly what a fresh layer decides for each ring.
+        fresh = RoutingLayer(cluster=cluster_a2)
+        assert ring_b == fresh.route(0, 8, nbytes=8e6, ring_ranks=(0, 2, 8, 10))
+        assert ring_a == fresh.route(0, 8, nbytes=8e6, ring_ranks=(0, 8))
+
+    def test_invalid_hops_still_raise(self, cluster_a2):
+        routing = RoutingLayer(cluster=cluster_a2)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                routing.route(0, 1, nbytes=1e6)
+
+
 class TestRoutedCost:
     def test_eq1_matches_manual_formula(self, cluster_a2):
         routing = RoutingLayer(cluster=cluster_a2)

@@ -352,6 +352,33 @@ class TestExport:
         assert "points_executed" in report
         assert "batch simulate" in report
 
+    def test_nested_spans_report_self_time(self):
+        events = [
+            make_event("span", 0.1, name="sweep/point/execute", dur_s=0.5),
+            make_event("span", 0.2, name="sweep/point/execute", dur_s=0.25),
+            make_event("span", 0.3, name="sweep/point", dur_s=1.0),
+            make_event("span", 0.4, name="sweep", dur_s=2.0),
+            make_event("span", 0.5, name="sweep/cache", dur_s=0.5),
+        ]
+        spans = summarize_events(events)["spans"]
+        assert spans["sweep/point/execute"]["total_s"] == pytest.approx(0.75)
+        assert spans["sweep/point/execute"]["self_s"] == pytest.approx(0.75)
+        assert spans["sweep/point"]["self_s"] == pytest.approx(0.25)
+        # Direct children only: sweep/point/execute is not subtracted twice.
+        assert spans["sweep"]["self_s"] == pytest.approx(0.5)
+        assert spans["sweep/cache"]["self_s"] == pytest.approx(0.5)
+        assert sum(e["self_s"] for e in spans.values()) == pytest.approx(2.0)
+        cells = [
+            [cell.strip() for cell in line.split("|")]
+            for line in render_report(summarize_events(events)).splitlines()
+        ]
+        rows = {row[0]: row[1:] for row in cells if row[0].startswith("sweep")}
+        # count, total_s, self_s, share: shares come from self time.
+        assert rows["sweep"] == ["1", "2.000", "0.500", "25.0%"]
+        assert rows["sweep/point"] == ["1", "1.000", "0.250", "12.5%"]
+        assert rows["sweep/point/execute"] == ["2", "0.750", "0.750", "37.5%"]
+        assert rows["sweep/cache"] == ["1", "0.500", "0.500", "25.0%"]
+
 
 class TestTelemetryNeverChangesResults:
     def test_sweep_results_byte_identical(self):
