@@ -79,9 +79,8 @@ from repro.registry import (
     register_strategy,
 )
 from repro.results import CompareResult, ResilienceResult, RunResult, ServeResult
-from repro.training.runner import TrainingRun, TrainingRunConfig
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "DEFAULT_COMPARISON",
@@ -121,7 +120,5 @@ __all__ = [
     "ResilienceResult",
     "RunResult",
     "ServeResult",
-    "TrainingRun",
-    "TrainingRunConfig",
     "__version__",
 ]

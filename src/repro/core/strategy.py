@@ -3,8 +3,8 @@
 A *strategy* decides how a batch of variable-length sequences is distributed
 across the cluster and what computation/communication each rank performs.  All
 strategies (Zeppelin and the baselines) emit an :class:`ExecutionPlan` for one
-transformer layer; the simulator times the plan and the training runner scales
-it to a full iteration.
+transformer layer; the simulator times the plan and
+:mod:`repro.training.iteration` scales it to a full iteration.
 
 Tensor parallelism is modelled at the logical-rank level: with
 ``tensor_parallel = t`` every ``t`` consecutive GPUs form one logical data/

@@ -40,11 +40,6 @@ def kv_bytes_per_token(spec: TransformerSpec, per_layer: bool = True) -> float:
     return per_layer_bytes * spec.num_layers
 
 
-def qkv_bytes_per_token(spec: TransformerSpec) -> float:
-    """Bytes of query+key+value activations per token per layer."""
-    return (spec.hidden_size + 2.0 * spec.kv_hidden_size) * spec.dtype_bytes
-
-
 def hidden_bytes_per_token(spec: TransformerSpec) -> float:
     """Bytes of a single hidden-state activation per token (one layer boundary)."""
     return spec.hidden_size * spec.dtype_bytes

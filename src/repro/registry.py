@@ -11,7 +11,7 @@ Strategies and experiments self-register at import time::
 Built-in entries are *lazy*: the registry knows which module provides each
 built-in name and imports it on first lookup, so ``available_strategies()``
 and CLI argument parsing stay cheap.  Registering a new strategy or
-experiment requires no change to :mod:`repro.training.runner` or
+experiment requires no change to :mod:`repro.api` or
 :mod:`repro.cli` — the CLI, :class:`repro.api.Session` and ``repro list``
 all read from these registries.
 
@@ -49,8 +49,8 @@ class DuplicateEntryError(RegistryError, ValueError):
 class UnknownEntryError(RegistryError, ValueError, KeyError):
     """A name was looked up that no entry (eager or lazy) provides.
 
-    Subclasses both :class:`ValueError` and :class:`KeyError` so callers of
-    the pre-registry APIs (``build_strategy`` raised ``ValueError``,
+    Subclasses both :class:`ValueError` and :class:`KeyError` so callers
+    catching either (``Session.strategy`` lookups raise ``ValueError``,
     ``get_model`` raises ``KeyError``) keep working unchanged.
     """
 

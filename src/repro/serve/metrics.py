@@ -2,7 +2,7 @@
 
 Pure, dependency-free helpers consumed by the serve driver to assemble a
 :class:`~repro.results.ServeResult`: a linear-interpolation percentile (the
-same convention as ``numpy.percentile``), a latency summary, and a
+same convention as ``numpy.percentile``), request counters, and a
 :class:`QueueDepthTracker` that integrates queue depth over virtual time
 (time-weighted mean, maximum, and a compact ``(time, depth)`` timeline).
 """
@@ -25,18 +25,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     reproduces below its exact threshold.
     """
     return exact_percentile(values, q)
-
-
-def latency_summary(latencies: Sequence[float]) -> dict[str, float]:
-    """Mean/percentile/max summary of request latencies (seconds)."""
-    mean = sum(latencies) / len(latencies) if latencies else 0.0
-    return {
-        "mean_latency_s": mean,
-        "p50_latency_s": percentile(latencies, 50),
-        "p95_latency_s": percentile(latencies, 95),
-        "p99_latency_s": percentile(latencies, 99),
-        "max_latency_s": max(latencies) if latencies else 0.0,
-    }
 
 
 class QueueDepthTracker:

@@ -16,10 +16,6 @@ Three policies register with :mod:`repro.registry`:
   estimate plus the cached cell cost) misses the run's ``slo_s``, and
   orders survivors least-slack-first.
 
-Third-party policies written against the old single-argument ``key(request)``
-contract still work: :func:`as_admission` wraps them in a deprecation shim
-that drops the context and warns once.
-
 The queue also owns the serving concurrency limit: the driver asks
 :meth:`RequestQueue.can_dispatch` before starting another batch execution,
 so at most ``concurrency`` executions are ever in flight.
@@ -28,8 +24,6 @@ so at most ``concurrency`` executions are ever in flight.
 from __future__ import annotations
 
 import bisect
-import inspect
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -184,72 +178,17 @@ class SloAwareAdmission(AdmissionPolicy):
         return (request.arrival_s, request.rid)
 
 
-def _takes_context(method: Any) -> bool:
-    """Whether a bound policy method accepts the (request, ctx) contract."""
-    try:
-        sig = inspect.signature(method)
-    except (TypeError, ValueError):  # builtins/partials without signatures
-        return True
-    params = list(sig.parameters.values())
-    if any(p.kind is inspect.Parameter.VAR_POSITIONAL for p in params):
-        return True
-    positional = [
-        p
-        for p in params
-        if p.kind
-        in (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
-    ]
-    return len(positional) >= 2
-
-
-class LegacyAdmissionAdapter(AdmissionPolicy):
-    """Shim wrapping a pre-AdmissionContext policy (``key(request)`` only).
-
-    Keeps third-party policies working while warning that the single
-    argument contract is deprecated; such policies cannot shed (their
-    ``admit`` is always true) or consult queue state.
-    """
-
-    def __init__(self, inner: Any):
-        self._inner = inner
-        self.name = getattr(inner, "name", type(inner).__name__)
-        warnings.warn(
-            f"admission policy {self.name!r} uses the deprecated key(request) "
-            "signature; update it to key(request, ctx) to receive the "
-            "AdmissionContext (queue state, latency sketches, cost estimates)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def key(self, request: Request, ctx: AdmissionContext | None = None) -> tuple[Any, ...]:
-        return self._inner.key(request)
-
-    def admit(self, request: Request, ctx: AdmissionContext | None = None) -> bool:
-        admit = getattr(self._inner, "admit", None)
-        if admit is None:
-            return True
-        return admit(request) if not _takes_context(admit) else admit(request, ctx)
-
-
 def as_admission(admission: "str | AdmissionPolicy | None") -> AdmissionPolicy:
     """Normalise the ``admission`` argument of the serve driver.
 
-    Instances and registry names resolve as before; policies still written
-    against the old ``key(request)`` signature are wrapped in a
-    :class:`LegacyAdmissionAdapter` (with a ``DeprecationWarning``) so they
-    keep working under the :class:`AdmissionContext` contract.
+    Instances pass through, registry names resolve to a fresh policy, and
+    ``None`` means ``fifo``.
     """
-    if isinstance(admission, AdmissionPolicy) or (
-        admission is not None and not isinstance(admission, str)
-    ):
-        policy = admission
-    elif admission is None:
-        policy = FifoAdmission()
-    else:
-        policy = get_admission(admission).obj()
-    if not _takes_context(policy.key):
-        return LegacyAdmissionAdapter(policy)
-    return policy
+    if admission is None:
+        return FifoAdmission()
+    if isinstance(admission, str):
+        return get_admission(admission).obj()
+    return admission
 
 
 class RequestQueue:

@@ -413,14 +413,3 @@ class ReferenceSimulator:
             failed_resources=failed_resources,
         )
 
-
-def reference_simulate(
-    plan: ExecutionPlan,
-    record_trace: bool = True,
-    events: Sequence[ResourceEvent] | None = None,
-    start_time_s: float = 0.0,
-) -> SimulationResult:
-    """Simulate a plan with a fresh :class:`ReferenceSimulator`."""
-    return ReferenceSimulator(record_trace=record_trace).run(
-        plan, events=events, start_time_s=start_time_s
-    )

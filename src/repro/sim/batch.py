@@ -8,32 +8,29 @@ amortised *compilation* across those runs; this module amortises the
 simulation itself.  :func:`simulate_batch` executes K duration/event
 variants ("lanes") of one compiled structure in a single pass:
 
-* **shared structure, loaded once** — the CSR dependent arrays, resource-id
-  tuples and dispatch keys are bound to locals once per batch, and the
-  duration-independent *initial dispatch* (which zero-dependency tasks start
-  at t=0, where the blocked ones park) is precomputed once and reused by
-  every lane;
 * **lane dedup** — lanes with identical ``(durations, events, start)`` over
   the same structure collapse to one simulation whose result is fanned back
   out to every requester (the serve/replica case);
-* **schedule replay** — the first simulated lane records its *schedule*
-  (the grouping of same-instant completions and the dispatch decisions each
-  group triggered).  Engine decisions depend on durations only through the
-  grouping and ordering of completion instants, so a later lane whose
-  completion times produce the same grouping is replayed arithmetically:
-  one ``end = start + duration`` (or ``/rate``) per task instead of a full
-  event loop.  Replay *verifies* the grouping on the fly — every member of
-  a group must land on the bitwise-identical instant, group times must be
-  non-decreasing, and an equal-time group must have been dispatched by its
-  predecessor — and falls back to the full per-lane loop when any check
-  fails, adopting the fallback lane's schedule as the new pilot.
+* **schedule replay** — the first simulated lane (the *pilot*) runs the
+  engine's dispatch loop (:func:`repro.sim.engine._simulate`), which also
+  captures its *schedule*: the grouping of same-instant completions and
+  the dispatch decisions each group triggered.  Engine decisions depend on
+  durations only through the grouping and ordering of completion instants,
+  so a later lane whose completion times produce the same grouping is
+  replayed arithmetically: one ``end = start + duration`` (or ``/rate``)
+  per task instead of a full event loop.  Replay *verifies* the grouping
+  on the fly — every member of a group must land on the bitwise-identical
+  instant, group times must be non-decreasing, and an equal-time group
+  must have been dispatched by its predecessor — and when any check fails
+  the lane runs the engine instead, becoming the new pilot.
 
 Results are bit-identical to N sequential :meth:`Simulator.run` calls by
-construction: the replay verification accepts exactly the lanes whose event
-loop would retrace the pilot's decisions, the fallback loop replicates the
-engine's semantics (and is asserted equivalent by the test suite), and
-lanes the lean path cannot take — timed perturbations, failures, trace
-recording — are delegated to the real engine, lane by lane.
+construction: every lane that is not replayed runs the engine's one
+dispatch loop, and the replay verification accepts exactly the lanes whose
+loop would retrace the pilot's decisions.  Lanes replay cannot take —
+timed perturbations, failures, trace recording — always run the engine.  A
+pilot captures its schedule only while a later replayable lane could still
+read it, so the last simulated lane pays nothing for capture.
 
 :func:`simulate_many` is the producer-facing entry: it accepts requests
 over *different* plans, groups them by :attr:`CompiledPlan.structure_key`,
@@ -46,13 +43,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Sequence
 
 from repro.core.plan import ExecutionPlan
 from repro.obs.core import Telemetry, as_telemetry
 from repro.sim.compile import CompiledPlan, compile_plan
-from repro.sim.engine import SimulationResult, Simulator
+from repro.sim.engine import SimulationResult, _simulate
 from repro.sim.events import ResourceEvent, compile_resource_events
 from repro.sim.trace import Trace
 
@@ -82,85 +78,16 @@ class SimRequest:
     start_time_s: float = 0.0
 
 
-class _Schedule:
-    """A recorded pilot schedule: the decision trace replay retraces.
+def _lane_rates(cp: CompiledPlan, lane: Lane) -> "list[float] | tuple[()] | None":
+    """Per-task execution rates of a replayable lane, or ``None`` if ineligible.
 
-    ``init_started`` are the tasks dispatched at t=0 (duration-independent).
-    ``groups`` holds, per completion instant in pilot order, the tasks that
-    finished together and the tasks that dispatch started in response (in
-    dispatch order).  ``start_group`` maps a task to the index of the group
-    that started it (-1 for initial tasks) — the evidence the equal-time
-    verification needs.
-    """
-
-    __slots__ = ("init_started", "groups", "start_group")
-
-    def __init__(self, init_started, groups, start_group):
-        self.init_started = init_started
-        self.groups = groups
-        self.start_group = start_group
-
-
-class _SharedStructure:
-    """Per-batch precomputation: structure arrays + initial dispatch template."""
-
-    __slots__ = (
-        "cp",
-        "task_res",
-        "keys",
-        "dep_counts",
-        "dep_indptr",
-        "dep_ids",
-        "num_res",
-        "init_started",
-        "init_waiters",
-        "init_busy",
-    )
-
-    def __init__(self, cp: CompiledPlan):
-        self.cp = cp
-        self.task_res = cp.task_resources
-        self.keys = cp.dispatch_keys
-        self.dep_counts = cp.dep_counts
-        self.dep_indptr = cp.dependents_indptr
-        self.dep_ids = cp.dependents_ids
-        self.num_res = cp.num_resources
-        # Initial dispatch is duration-independent: which zero-dependency
-        # tasks start at t=0 and where the blocked ones park depend only on
-        # structure, so the engine's first dispatch() is replayed here once
-        # per batch instead of once per lane.
-        busy = [False] * self.num_res
-        waiters: list[list[int]] = [[] for _ in range(self.num_res)]
-        started: list[int] = []
-        for tid in sorted(cp.initial_ready, key=self.keys.__getitem__):
-            res = self.task_res[tid]
-            ok = True
-            for rid in res:
-                if busy[rid]:
-                    waiters[rid].append(tid)
-                    ok = False
-                    break
-            if ok:
-                for rid in res:
-                    busy[rid] = True
-                started.append(tid)
-        self.init_started = tuple(started)
-        self.init_waiters = waiters
-        self.init_busy = busy
-
-
-def _lane_speeds(
-    cp: CompiledPlan, lane: Lane
-) -> "tuple[list[float], bool] | None":
-    """Per-resource speeds for a lean-path lane, or ``None`` if ineligible.
-
-    The lean kernel handles lanes whose events all reduce to *initial* speed
-    factors (the shape ``dynamics`` produces for persistent slowdowns).
-    Timed perturbations, failures, and mid-run re-timing stay with the real
-    engine.
+    Replay handles lanes whose events all reduce to *initial* speed factors
+    (the shape ``dynamics`` produces for persistent slowdowns); ``()`` means
+    every resource runs at speed 1.  Timed perturbations and failures are
+    never replayed.
     """
     if not lane.events:
-        return [], False
+        return ()
     initial, timed = compile_resource_events(
         lane.events, cp.resource_index, lane.start_time_s
     )
@@ -168,123 +95,22 @@ def _lane_speeds(
         return None
     speed = [1.0] * cp.num_resources
     for factor, rids in initial:
-        if factor is None:  # failure: dispatch semantics change, engine path
+        if factor is None:  # failure: dispatch semantics change
             return None
         for rid in rids:
             speed[rid] = factor
-    return speed, any(s != 1.0 for s in speed)
+    if all(s == 1.0 for s in speed):
+        return ()
+    return [min((speed[rid] for rid in res), default=1.0) for res in cp.task_resources]
 
 
-def _run_recording(shared, durations, rates, has_pert, plan):
-    """Full lean event loop for one lane, capturing its schedule.
-
-    Replicates the engine's static/initial-factor semantics exactly: exact
-    same-instant draining on pushed times, one monotonic push counter for
-    tie order, candidates sorted by ``(priority, task_id)``, blocked tasks
-    parking at the first busy resource, and ``duration / rate`` arithmetic
-    only when a factor is active (matching the engine's perturbation gate,
-    so the float results are bitwise identical).
-    """
-    cp = shared.cp
-    n = cp.num_tasks
-    task_res = shared.task_res
-    keys = shared.keys
-    dep_indptr = shared.dep_indptr
-    dep_ids = shared.dep_ids
-    busy = shared.init_busy[:]
-    waiters = [w[:] if w else [] for w in shared.init_waiters]
-    remaining_deps = list(shared.dep_counts)
-    init_started = shared.init_started
-
-    start_times: dict[int, float] = {}
-    end_times: dict[int, float] = {}
-    heap: list[tuple[float, int, int]] = []
-    seq = 0
-    start_group = [-1] * n
-    groups: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    for tid in init_started:
-        start_times[tid] = 0.0
-        finish = durations[tid] / rates[tid] if has_pert else durations[tid]
-        heappush(heap, (finish, seq, tid))
-        seq += 1
-    if not heap:
-        raise RuntimeError(
-            "deadlock at time 0: ready tasks cannot acquire resources"
-        )
-
-    completed = 0
-    now = 0.0
-    while heap:
-        now = heap[0][0]
-        members: list[int] = []
-        candidates: list[int] = []
-        while heap and heap[0][0] == now:
-            _, _, tid = heappop(heap)
-            members.append(tid)
-            end_times[tid] = now
-            completed += 1
-            for rid in task_res[tid]:
-                busy[rid] = False
-                freed = waiters[rid]
-                if freed:
-                    candidates.extend(freed)
-                    waiters[rid] = []
-            for j in range(dep_indptr[tid], dep_indptr[tid + 1]):
-                dep_tid = dep_ids[j]
-                remaining_deps[dep_tid] -= 1
-                if remaining_deps[dep_tid] == 0:
-                    candidates.append(dep_tid)
-        group_index = len(groups)
-        starters: list[int] = []
-        if candidates:
-            if len(candidates) > 1:
-                candidates.sort(key=keys.__getitem__)
-            for tid in candidates:
-                res = task_res[tid]
-                startable = True
-                for rid in res:
-                    if busy[rid]:
-                        waiters[rid].append(tid)
-                        startable = False
-                        break
-                if startable:
-                    for rid in res:
-                        busy[rid] = True
-                    start_times[tid] = now
-                    finish = (
-                        now + durations[tid] / rates[tid]
-                        if has_pert
-                        else now + durations[tid]
-                    )
-                    heappush(heap, (finish, seq, tid))
-                    seq += 1
-                    starters.append(tid)
-                    start_group[tid] = group_index
-        groups.append((tuple(members), tuple(starters)))
-
-    if completed != n:
-        raise RuntimeError(
-            f"simulation finished with {completed}/{n} tasks completed; "
-            "the plan contains an unsatisfiable dependency"
-        )
-    result = SimulationResult(
-        makespan_s=now,
-        trace=Trace(),
-        plan=plan,
-        start_times=start_times,
-        end_times=end_times,
-    )
-    schedule = _Schedule(init_started, tuple(groups), start_group)
-    return result, schedule
-
-
-def _replay(schedule, durations, rates, has_pert, plan):
+def _replay(schedule, durations, rates, plan):
     """Arithmetic replay of a pilot schedule, or ``None`` if it diverges.
 
-    Verification accepts a lane iff its completion times reproduce the
-    pilot's grouping and ordering — exactly the information the engine's
-    decisions consume beyond structure:
+    ``schedule`` is what :func:`repro.sim.engine._simulate` captured for the
+    pilot lane.  Verification accepts a lane iff its completion times
+    reproduce the pilot's grouping and ordering — exactly the information
+    the engine's decisions consume beyond structure:
 
     * every member of a group ends at the bitwise-identical instant (a split
       or foreign-time member fails here);
@@ -294,30 +120,29 @@ def _replay(schedule, durations, rates, has_pert, plan):
       push case — anything else would have been drained into the earlier
       group by the engine).
     """
-    init_started = schedule.init_started
-    start_group = schedule.start_group
+    pairs = iter(schedule)
+    next(pairs)  # nothing completes before the dispatch at t=0
+    starters = next(pairs)
     ends: dict[int, float] = {}
     start_times: dict[int, float] = {}
     end_times: dict[int, float] = {}
-    for tid in init_started:
+    for tid in starters:
         start_times[tid] = 0.0
-        ends[tid] = durations[tid] / rates[tid] if has_pert else durations[tid]
+        ends[tid] = durations[tid] / rates[tid] if rates else durations[tid]
     prev_t = -1.0
-    for index, (members, starters) in enumerate(schedule.groups):
+    for members, next_starters in zip(pairs, pairs):
         t = ends[members[0]]
         if t < prev_t:
             return None
-        if t == prev_t:
-            previous = index - 1
-            for tid in members:
-                if start_group[tid] != previous:
-                    return None
+        if t == prev_t and not set(starters).issuperset(members):
+            return None
         for tid in members:
             if ends[tid] != t:
                 return None
             end_times[tid] = t
         prev_t = t
-        if has_pert:
+        starters = next_starters
+        if rates:
             for tid in starters:
                 start_times[tid] = t
                 ends[tid] = t + durations[tid] / rates[tid]
@@ -356,50 +181,42 @@ def _simulate_group(
         slots.setdefault(key, []).append(i)
     deduped = len(lanes) - len(slots)
 
-    shared: _SharedStructure | None = None
-    schedule: _Schedule | None = None
-    fallback_sim: Simulator | None = None
+    # Trace recording, timed perturbations, failures and empty plans are
+    # never replayed.  A pilot captures its schedule only while a later
+    # replayable lane could read it.
+    lane_rates = [
+        None if record_trace or cp.num_tasks == 0 else _lane_rates(cp, lanes[s[0]])
+        for s in slots.values()
+    ]
+    last_replayable = max(
+        (k for k, rates in enumerate(lane_rates) if rates is not None), default=-1
+    )
+    schedule: list | None = None
     replayed = 0
-    for indices in slots.values():
+    for k, indices in enumerate(slots.values()):
         lane = lanes[indices[0]]
         durations = lane.durations if lane.durations is not None else cp.durations
         plan = lane.plan if lane.plan is not None else cp.plan
-        speeds = None if record_trace or cp.num_tasks == 0 else _lane_speeds(cp, lane)
-        if speeds is None:
-            # Trace recording, timed perturbations, failures, or an empty
-            # plan: the real engine handles this lane (still grouped, still
-            # deduped — just not lean).
-            if fallback_sim is None:
-                fallback_sim = Simulator(record_trace=record_trace)
+        rates = lane_rates[k]
+        result = None
+        if schedule is not None and rates is not None:
+            result = _replay(schedule, durations, rates, plan)
+            if result is not None:
+                replayed += 1
+        if result is None:
+            # The engine runs this lane; it becomes the pilot if a later lane
+            # could replay it.
+            capture = [] if rates is not None and k < last_replayable else None
             lane_cp = (
                 cp
                 if durations is cp.durations and plan is cp.plan
                 else dataclasses.replace(cp, plan=plan, durations=durations)
             )
-            result = fallback_sim.run(
-                lane_cp, events=lane.events, start_time_s=lane.start_time_s
+            result = _simulate(
+                lane_cp, lane.events, lane.start_time_s, record_trace, capture
             )
-        else:
-            speed, has_pert = speeds
-            if has_pert:
-                task_res = cp.task_resources
-                rates = [
-                    min((speed[rid] for rid in res), default=1.0)
-                    for res in task_res
-                ]
-            else:
-                rates = None
-            result = None
-            if schedule is not None:
-                result = _replay(schedule, durations, rates, has_pert, plan)
-                if result is not None:
-                    replayed += 1
-            if result is None:
-                if shared is None:
-                    shared = _SharedStructure(cp)
-                result, schedule = _run_recording(
-                    shared, durations, rates, has_pert, plan
-                )
+            if capture is not None:
+                schedule = capture
         for i in indices:
             results[i] = result
     return results, deduped, replayed

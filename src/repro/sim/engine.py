@@ -17,18 +17,24 @@ in-flight task holding it is aborted (recorded in the trace with
 ``aborted=True``) while tasks that require a dead resource are stranded and
 never start.
 
-There is ONE engine core: the static case is simply the dynamic case with an
+There is ONE dispatch loop, :func:`_simulate`: :meth:`Simulator.run` calls
+it, and so does every lane of the batched kernel (:mod:`repro.sim.batch`)
+that is not replayed.  The static case is simply the dynamic case with an
 empty event schedule (speeds stay 1.0, nothing dies), so both produce
-bit-identical makespans by construction.  The core runs over the plan's
-:class:`~repro.sim.compile.CompiledPlan` — interned resource ids backing plain
-``busy``/``speed``/``alive`` arrays, CSR dependent adjacency, and precomputed
-``(priority, task_id)`` dispatch keys.  Dispatch is *indexed*: a task blocked
-on a busy resource parks in that resource's waiter list and is only
-reconsidered when the resource actually frees, so an event touches the tasks
-it can unblock instead of re-sorting the whole ready set.  Same-timestamp
-events are drained by exact comparison on the pushed completion times (an
-absolute epsilon would mis-merge distinct events once the simulation clock
-grows past the point where one ulp exceeds it).
+bit-identical makespans by construction.  When the batch kernel asks, the
+loop also captures the run's *schedule* — which tasks completed together at
+each instant and which tasks the following dispatch started — so later lanes
+of the same structure can be replayed arithmetically instead of simulated.
+The loop runs over the plan's :class:`~repro.sim.compile.CompiledPlan` —
+interned resource ids backing plain ``busy``/``speed``/``alive`` arrays, CSR
+dependent adjacency, and precomputed ``(priority, task_id)`` dispatch keys.
+Dispatch is *indexed*: a task blocked on a busy resource parks in that
+resource's waiter list and is only reconsidered when the resource actually
+frees, so an event touches the tasks it can unblock instead of re-sorting
+the whole ready set.  Same-timestamp events are drained by exact comparison
+on the pushed completion times (an absolute epsilon would mis-merge distinct
+events once the simulation clock grows past the point where one ulp exceeds
+it).
 """
 
 from __future__ import annotations
@@ -110,232 +116,268 @@ class Simulator:
             resource state).
         """
         cp = plan if isinstance(plan, CompiledPlan) else compile_plan(plan)
-        n = cp.num_tasks
-        trace = Trace()
-        if n == 0:
-            return SimulationResult(makespan_s=0.0, trace=trace, plan=cp.plan)
+        return _simulate(cp, events, start_time_s, self.record_trace)
 
-        tasks = cp.plan.tasks
-        num_res = cp.num_resources
-        busy = [False] * num_res
-        speed = [1.0] * num_res
-        alive = [True] * num_res
-        any_dead = False
 
-        # The event heap holds flat tuples (time, kind, seq, a, b): completions
-        # are (t, FINISH, seq, task_id, generation), perturbations are
-        # (t, PERTURB, seq, factor, resource_ids).  ``seq`` is a single
-        # monotonic counter, so ties within one (time, kind) pop in push order.
-        heap: list[tuple] = []
-        seq = 0
-        has_perturbations = False
-        if events:
-            initial, timed = compile_resource_events(
-                events, cp.resource_index, start_time_s
-            )
-            for factor, rids in initial:
-                for rid in rids:
-                    if factor is None:
-                        alive[rid] = False
-                        any_dead = True
-                    else:
-                        speed[rid] = factor
-            for local, factor, rids in timed:
-                heap.append((local, PERTURB, seq, factor, rids))
-                seq += 1
-            # Entries were appended in sorted (time, seq) order: already a heap.
-            has_perturbations = bool(heap) or any(s != 1.0 for s in speed)
+def _simulate(
+    cp: CompiledPlan,
+    events: Sequence[ResourceEvent] | None,
+    start_time_s: float,
+    record_trace: bool,
+    schedule: list[tuple[int, ...]] | None = None,
+) -> SimulationResult:
+    """The dispatch loop: :meth:`Simulator.run` and every simulated batch lane.
 
-        durations = cp.durations
-        task_res = cp.task_resources
-        keys = cp.dispatch_keys
-        remaining_deps = list(cp.dep_counts)
-        dep_indptr = cp.dependents_indptr
-        dep_ids = cp.dependents_ids
+    ``schedule``, when given (an empty list), receives the decisions
+    :func:`repro.sim.batch._replay` retraces, as a flat sequence of
+    ``finished, started`` tuple pairs: first ``(), started`` for the
+    dispatch at t=0, then one pair per drained instant — the tasks that
+    completed together and the tasks the following dispatch started, in
+    dispatch order.  It is only meaningful for runs without timed events
+    (the only ones the batch kernel replays).
+    """
+    n = cp.num_tasks
+    trace = Trace()
+    if n == 0:
+        return SimulationResult(makespan_s=0.0, trace=trace, plan=cp.plan)
 
-        # Indexed dispatch: a blocked task parks in the waiter list of the
-        # first busy resource that blocked it, and is reconsidered only when
-        # that resource frees.  Every waiting task sits in exactly one list.
-        waiters: list[list[int]] = [[] for _ in range(num_res)]
+    tasks = cp.plan.tasks
+    num_res = cp.num_resources
+    busy = [False] * num_res
+    speed = [1.0] * num_res
+    alive = [True] * num_res
+    any_dead = False
 
-        start_times: dict[int, float] = {}
-        end_times: dict[int, float] = {}
-        # tid -> [segment start, remaining work (s at speed 1), current speed].
-        running: dict[int, list[float]] = {}
-        generation = [0] * n  # invalidates stale completion events
-        aborted: list[int] = []
-        completed = 0
-        now = 0.0
-        record_trace = self.record_trace
-
-        def dispatch(candidates: list[int]) -> None:
-            """Start every candidate whose resources are free, in priority order.
-
-            Candidates are the tasks an event batch could have unblocked: the
-            newly dependency-free plus the parked waiters of every resource
-            the batch freed.  Tasks needing a dead resource are dropped here
-            and accounted as stranded in the final sweep.
-            """
-            nonlocal seq
-            candidates.sort(key=keys.__getitem__)
-            for tid in candidates:
-                res = task_res[tid]
-                startable = True
-                for rid in res:
-                    if not alive[rid]:
-                        startable = False  # stranded: never starts
-                        break
-                    if busy[rid]:
-                        waiters[rid].append(tid)
-                        startable = False
-                        break
-                if not startable:
-                    continue
-                for rid in res:
-                    busy[rid] = True
-                start_times[tid] = now
-                if has_perturbations:
-                    rate = min((speed[rid] for rid in res), default=1.0)
-                    finish_at = now + durations[tid] / rate
-                else:
-                    rate = 1.0
-                    finish_at = now + durations[tid]
-                running[tid] = [now, durations[tid], rate]
-                heappush(heap, (finish_at, FINISH, seq, tid, generation[tid]))
-                seq += 1
-
-        dispatch(list(cp.initial_ready))
-
-        if not running and not heap and not any_dead:
-            raise RuntimeError(
-                "deadlock at time 0: ready tasks cannot acquire resources"
-            )
-
-        while heap:
-            now = heap[0][0]
-            finished: list[int] = []
-            perturbations: list[tuple] = []
-            # Drain all events at this exact timestamp (completions first, by
-            # kind order) before re-dispatching, so freed resources go to the
-            # highest-priority waiter and same-instant failures see final
-            # state.  Comparison is exact on the pushed times: equal
-            # completion instants arise from identical float arithmetic, and
-            # an absolute epsilon would spuriously merge distinct events at
-            # large clocks.
-            while heap and heap[0][0] == now:
-                _, kind, _, a, b = heappop(heap)
-                if kind == FINISH:
-                    if a in running and generation[a] == b:
-                        finished.append(a)
-                else:
-                    perturbations.append((a, b))
-
-            candidates: list[int] = []
-            for tid in finished:
-                del running[tid]
-                end_times[tid] = now
-                completed += 1
-                for rid in task_res[tid]:
-                    busy[rid] = False
-                    freed = waiters[rid]
-                    if freed:
-                        candidates.extend(freed)
-                        waiters[rid] = []
-                if record_trace:
-                    task = tasks[tid]
-                    trace.record(
-                        tid, task.name, task.kind, task.rank,
-                        start_times[tid], now,
-                    )
-                for j in range(dep_indptr[tid], dep_indptr[tid + 1]):
-                    dep_tid = dep_ids[j]
-                    remaining_deps[dep_tid] -= 1
-                    if remaining_deps[dep_tid] == 0:
-                        candidates.append(dep_tid)
-
-            for factor, rids in perturbations:
-                if factor is None:
-                    for rid in rids:
-                        alive[rid] = False
-                    any_dead = True
-                    dead = set(rids)
-                    for tid in [
-                        t for t in running if not dead.isdisjoint(task_res[t])
-                    ]:
-                        generation[tid] += 1
-                        del running[tid]
-                        aborted.append(tid)
-                        for rid in task_res[tid]:
-                            busy[rid] = False
-                            freed = waiters[rid]
-                            if freed:
-                                candidates.extend(freed)
-                                waiters[rid] = []
-                        if record_trace:
-                            task = tasks[tid]
-                            trace.record(
-                                tid, task.name, task.kind, task.rank,
-                                start_times[tid], now, aborted=True,
-                            )
-                else:
-                    changed = set(rids)
-                    for rid in rids:
-                        speed[rid] = factor
-                    for tid, record in running.items():
-                        res = task_res[tid]
-                        if changed.isdisjoint(res):
-                            continue
-                        seg_start, remaining, rate = record
-                        remaining = max(0.0, remaining - (now - seg_start) * rate)
-                        rate = min((speed[rid] for rid in res), default=1.0)
-                        record[0] = now
-                        record[1] = remaining
-                        record[2] = rate
-                        generation[tid] += 1
-                        heappush(
-                            heap,
-                            (now + remaining / rate, FINISH, seq, tid, generation[tid]),
-                        )
-                        seq += 1
-
-            dispatch(candidates)
-
-        failed_resources: tuple[str, ...] = ()
-        stranded: tuple[int, ...] = ()
-        if any_dead:
-            names = cp.resource_names
-            failed_resources = tuple(
-                sorted(names[rid] for rid in range(num_res) if not alive[rid])
-            )
-        if completed != n:
-            if not failed_resources:
-                raise RuntimeError(
-                    f"simulation finished with {completed}/{n} tasks completed; "
-                    "the plan contains an unsatisfiable dependency"
-                )
-            # Once the event queue drains, every task that neither completed
-            # nor aborted can never run — it waits on a dead resource or
-            # (transitively) on an aborted task.  Account for the whole
-            # stranded subtree here; nothing needs tracking during dispatch.
-            aborted_set = set(aborted)
-            stranded = tuple(
-                sorted(
-                    tid
-                    for tid in range(n)
-                    if tid not in end_times and tid not in aborted_set
-                )
-            )
-        makespan = max(end_times.values()) if end_times else 0.0
-        return SimulationResult(
-            makespan_s=makespan,
-            trace=trace,
-            plan=cp.plan,
-            start_times=start_times,
-            end_times=end_times,
-            aborted_task_ids=tuple(aborted),
-            stranded_task_ids=stranded,
-            failed_resources=failed_resources,
+    # The event heap holds flat tuples (time, kind, seq, a, b): completions
+    # are (t, FINISH, seq, task_id, generation), perturbations are
+    # (t, PERTURB, seq, factor, resource_ids).  ``seq`` is a single
+    # monotonic counter, so ties within one (time, kind) pop in push order.
+    heap: list[tuple] = []
+    seq = 0
+    has_perturbations = False
+    if events:
+        initial, timed = compile_resource_events(
+            events, cp.resource_index, start_time_s
         )
+        for factor, rids in initial:
+            for rid in rids:
+                if factor is None:
+                    alive[rid] = False
+                    any_dead = True
+                else:
+                    speed[rid] = factor
+        for local, factor, rids in timed:
+            heap.append((local, PERTURB, seq, factor, rids))
+            seq += 1
+        # Entries were appended in sorted (time, seq) order: already a heap.
+        has_perturbations = bool(heap) or any(s != 1.0 for s in speed)
+
+    durations = cp.durations
+    task_res = cp.task_resources
+    keys = cp.dispatch_keys
+    remaining_deps = list(cp.dep_counts)
+    dep_indptr = cp.dependents_indptr
+    dep_ids = cp.dependents_ids
+
+    # Indexed dispatch: a blocked task parks in the waiter list of the
+    # first busy resource that blocked it, and is reconsidered only when
+    # that resource frees.  Every waiting task sits in exactly one list.
+    waiters: list[list[int]] = [[] for _ in range(num_res)]
+
+    start_times: dict[int, float] = {}
+    end_times: dict[int, float] = {}
+    # tid -> current execution rate, for every task in flight.  A re-timed
+    # task's current segment (start, remaining work at speed 1) lives in
+    # ``segments``; until then it is (its start time, its duration).
+    running: dict[int, float] = {}
+    segments: dict[int, tuple[float, float]] = {}
+    generation = [0] * n  # invalidates stale completion events
+    aborted: list[int] = []
+    completed = 0
+    now = 0.0
+    capture = schedule is not None
+    started: list[int] = []  # this dispatch's starters, when capturing
+
+    def dispatch(candidates: list[int]) -> None:
+        """Start every candidate whose resources are free, in priority order.
+
+        Candidates are the tasks an event batch could have unblocked: the
+        newly dependency-free plus the parked waiters of every resource
+        the batch freed.  Tasks needing a dead resource are dropped here
+        and accounted as stranded in the final sweep.
+        """
+        nonlocal seq
+        candidates.sort(key=keys.__getitem__)
+        for tid in candidates:
+            res = task_res[tid]
+            startable = True
+            for rid in res:
+                if not alive[rid]:
+                    startable = False  # stranded: never starts
+                    break
+                if busy[rid]:
+                    waiters[rid].append(tid)
+                    startable = False
+                    break
+            if not startable:
+                continue
+            for rid in res:
+                busy[rid] = True
+            start_times[tid] = now
+            if has_perturbations:
+                rate = min((speed[rid] for rid in res), default=1.0)
+                finish_at = now + durations[tid] / rate
+            else:
+                rate = 1.0
+                finish_at = now + durations[tid]
+            running[tid] = rate
+            heappush(heap, (finish_at, FINISH, seq, tid, generation[tid]))
+            seq += 1
+            if capture:
+                started.append(tid)
+
+    dispatch(list(cp.initial_ready))
+    if capture:
+        schedule.append(())
+        schedule.append(tuple(started))
+        started.clear()
+
+    if not running and not heap and not any_dead:
+        raise RuntimeError(
+            "deadlock at time 0: ready tasks cannot acquire resources"
+        )
+
+    while heap:
+        now = heap[0][0]
+        finished: list[int] = []
+        perturbations: list[tuple] = []
+        # Drain all events at this exact timestamp (completions first, by
+        # kind order) before re-dispatching, so freed resources go to the
+        # highest-priority waiter and same-instant failures see final
+        # state.  Comparison is exact on the pushed times: equal
+        # completion instants arise from identical float arithmetic, and
+        # an absolute epsilon would spuriously merge distinct events at
+        # large clocks.  A completion is current iff its generation is:
+        # aborting or re-timing a task bumps it, orphaning the old event.
+        while heap and heap[0][0] == now:
+            _, kind, _, a, b = heappop(heap)
+            if kind == FINISH:
+                if generation[a] == b:
+                    finished.append(a)
+            else:
+                perturbations.append((a, b))
+
+        candidates: list[int] = []
+        for tid in finished:
+            del running[tid]
+            end_times[tid] = now
+            completed += 1
+            for rid in task_res[tid]:
+                busy[rid] = False
+                freed = waiters[rid]
+                if freed:
+                    candidates.extend(freed)
+                    waiters[rid] = []
+            if record_trace:
+                task = tasks[tid]
+                trace.record(
+                    tid, task.name, task.kind, task.rank,
+                    start_times[tid], now,
+                )
+            for j in range(dep_indptr[tid], dep_indptr[tid + 1]):
+                dep_tid = dep_ids[j]
+                remaining_deps[dep_tid] -= 1
+                if remaining_deps[dep_tid] == 0:
+                    candidates.append(dep_tid)
+
+        for factor, rids in perturbations:
+            if factor is None:
+                for rid in rids:
+                    alive[rid] = False
+                any_dead = True
+                dead = set(rids)
+                for tid in [
+                    t for t in running if not dead.isdisjoint(task_res[t])
+                ]:
+                    generation[tid] += 1
+                    del running[tid]
+                    aborted.append(tid)
+                    for rid in task_res[tid]:
+                        busy[rid] = False
+                        freed = waiters[rid]
+                        if freed:
+                            candidates.extend(freed)
+                            waiters[rid] = []
+                    if record_trace:
+                        task = tasks[tid]
+                        trace.record(
+                            tid, task.name, task.kind, task.rank,
+                            start_times[tid], now, aborted=True,
+                        )
+            else:
+                changed = set(rids)
+                for rid in rids:
+                    speed[rid] = factor
+                for tid, rate in running.items():
+                    res = task_res[tid]
+                    if changed.isdisjoint(res):
+                        continue
+                    seg_start, remaining = segments.get(tid) or (
+                        start_times[tid], durations[tid]
+                    )
+                    remaining = max(0.0, remaining - (now - seg_start) * rate)
+                    rate = min((speed[rid] for rid in res), default=1.0)
+                    running[tid] = rate
+                    segments[tid] = (now, remaining)
+                    generation[tid] += 1
+                    heappush(
+                        heap,
+                        (now + remaining / rate, FINISH, seq, tid, generation[tid]),
+                    )
+                    seq += 1
+
+        dispatch(candidates)
+        if capture:
+            schedule.append(tuple(finished))
+            schedule.append(tuple(started))
+            started.clear()
+
+    failed_resources: tuple[str, ...] = ()
+    stranded: tuple[int, ...] = ()
+    if any_dead:
+        names = cp.resource_names
+        failed_resources = tuple(
+            sorted(names[rid] for rid in range(num_res) if not alive[rid])
+        )
+    if completed != n:
+        if not failed_resources:
+            raise RuntimeError(
+                f"simulation finished with {completed}/{n} tasks completed; "
+                "the plan contains an unsatisfiable dependency"
+            )
+        # Once the event queue drains, every task that neither completed
+        # nor aborted can never run — it waits on a dead resource or
+        # (transitively) on an aborted task.  Account for the whole
+        # stranded subtree here; nothing needs tracking during dispatch.
+        aborted_set = set(aborted)
+        stranded = tuple(
+            sorted(
+                tid
+                for tid in range(n)
+                if tid not in end_times and tid not in aborted_set
+            )
+        )
+    makespan = max(end_times.values()) if end_times else 0.0
+    return SimulationResult(
+        makespan_s=makespan,
+        trace=trace,
+        plan=cp.plan,
+        start_times=start_times,
+        end_times=end_times,
+        aborted_task_ids=tuple(aborted),
+        stranded_task_ids=stranded,
+        failed_resources=failed_resources,
+    )
 
 
 def simulate(

@@ -8,7 +8,6 @@ layer stack, and reported as tokens/second — the paper's evaluation metric
 
 from repro.training.iteration import IterationResult, simulate_iteration
 from repro.training.throughput import ThroughputReport, measure_throughput, speedup_table
-from repro.training.runner import TrainingRun, TrainingRunConfig
 
 __all__ = [
     "IterationResult",
@@ -16,6 +15,4 @@ __all__ = [
     "ThroughputReport",
     "measure_throughput",
     "speedup_table",
-    "TrainingRun",
-    "TrainingRunConfig",
 ]

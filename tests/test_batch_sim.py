@@ -1,15 +1,18 @@
 """The batched lane-parallel kernel: bit-identical to sequential simulation.
 
 :func:`repro.sim.batch.simulate_batch` promises results byte-identical to N
-sequential :meth:`Simulator.run` calls, whichever internal path a lane takes
-(schedule replay, the lean recording loop, or the engine fallback).  These
-tests compare the kernel against the engine on random DAGs (dyadic
-durations, so ties are exact — the regime where replay verification has to
-be perfect), on every registered strategy's real plans, and through the
+sequential :meth:`Simulator.run` calls, whichever path a lane takes
+(schedule replay, or the engine's one dispatch loop with or without
+schedule capture).  These tests compare the kernel against the engine on
+random DAGs (dyadic durations, so ties are exact — the regime where replay
+verification has to be perfect; a zero-heavy variant makes equal-instant
+groups common), on every registered strategy's real plans, and through the
 producers that funnel into it (`simulate_iterations`,
-`simulate_iteration_states`, `measure_throughput`).  Lane dedup, structure
-grouping, `structure_key` invalidation and the `batch_simulate` telemetry
-are pinned down alongside.
+`simulate_iteration_states`, `measure_throughput`).  The captured schedule
+is checked directly: replaying a run's own capture reproduces that run, and
+a lane that fails replay becomes the pilot of the next.  Lane dedup,
+structure grouping, `structure_key` invalidation and the `batch_simulate`
+telemetry are pinned down alongside.
 """
 
 import dataclasses
@@ -20,30 +23,47 @@ import pytest
 from repro.core.plan import ExecutionPlan, TaskKind
 from repro.obs.core import Telemetry
 from repro.obs.export import ListSink
-from repro.sim.batch import Lane, SimRequest, simulate_batch, simulate_many
+from repro.sim.batch import (
+    Lane,
+    SimRequest,
+    _lane_rates,
+    _replay,
+    simulate_batch,
+    simulate_many,
+)
 from repro.sim.compile import compile_plan
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, _simulate
 from repro.sim.events import ResourceEvent
 
 _KINDS = list(TaskKind)
 
 
-def _random_plan(rng: random.Random) -> ExecutionPlan:
-    """A random DAG with shared resources and dyadic durations (incl. zero)."""
+def _random_plan(
+    rng: random.Random, zero_frac: float = 0.0, barrier_frac: float = 0.1
+) -> ExecutionPlan:
+    """A random DAG with shared resources and dyadic durations (incl. zero).
+
+    ``zero_frac`` forces that share of durations to zero on top of the
+    dyadic draw; with the default the draws (and plans) are unchanged.
+    """
     plan = ExecutionPlan()
     num_tasks = rng.randint(1, 40)
     resources = [f"res:{i}" for i in range(rng.randint(1, 6))]
     for tid in range(num_tasks):
         num_deps = rng.randint(0, min(3, tid))
         deps = rng.sample(range(tid), num_deps) if num_deps else []
-        if rng.random() < 0.1:
+        if rng.random() < barrier_frac:
             held = ()  # zero-cost barrier
         else:
             held = tuple(rng.sample(resources, rng.randint(1, min(2, len(resources)))))
+        kind = rng.choice(_KINDS)
+        duration = rng.randint(0, 64) / 64.0
+        if zero_frac and rng.random() < zero_frac:
+            duration = 0.0
         plan.add(
             f"t{tid}",
-            rng.choice(_KINDS),
-            rng.randint(0, 64) / 64.0,
+            kind,
+            duration,
             held,
             deps=deps,
             rank=rng.randint(-1, 3),
@@ -96,6 +116,39 @@ def _assert_identical(new, old, context):
     assert new.trace.spans == old.trace.spans, context
 
 
+def _zero_heavy_case(seed: int, factors: bool):
+    """A DAG full of zero-duration tasks and barriers, plus its lanes.
+
+    A task that takes no time completes at the instant it starts, so the
+    dispatch after one drained instant pushes completions at that same
+    instant: the engine drains them as a second, equal-time group — the case
+    replay's equal-instant rule exists for.  With ``factors`` every lane
+    also carries an initial speed factor on one resource.
+    """
+    rng = random.Random(6000 + seed)
+    cp = compile_plan(_random_plan(rng, zero_frac=0.4, barrier_frac=0.3))
+    lanes = _duration_lanes(rng, cp.durations)
+    # Coarse grids make distinct pilot instants collide in later lanes.
+    for step in (0.25, 0.5):
+        coarse = tuple(step * round(d / step) for d in cp.durations)
+        lanes.append(Lane(durations=coarse))
+    if factors and cp.resource_names:
+        lanes = [
+            dataclasses.replace(
+                lane,
+                events=(
+                    ResourceEvent(
+                        0.0,
+                        (rng.choice(cp.resource_names),),
+                        2.0 ** rng.randint(-3, 1),
+                    ),
+                ),
+            )
+            for lane in lanes
+        ]
+    return cp, lanes
+
+
 class TestRandomDagEquivalence:
     @pytest.mark.parametrize("seed", range(40))
     def test_duration_lanes_bit_identical(self, seed):
@@ -124,6 +177,15 @@ class TestRandomDagEquivalence:
         results = simulate_batch(cp, lanes)
         for i, (lane, result) in enumerate(zip(lanes, results)):
             _assert_identical(result, _reference(cp, lane), (seed, i))
+
+    @pytest.mark.parametrize("factors", [False, True])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_zero_heavy_lanes_bit_identical(self, seed, factors):
+        """Equal-instant groups, with and without initial speed factors."""
+        cp, lanes = _zero_heavy_case(seed, factors)
+        results = simulate_batch(cp, lanes)
+        for i, (lane, result) in enumerate(zip(lanes, results)):
+            _assert_identical(result, _reference(cp, lane), (seed, factors, i))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_engine_fallback_lanes_bit_identical(self, seed):
@@ -172,6 +234,84 @@ class TestRandomDagEquivalence:
         results = simulate_batch(cp, lanes)
         for i, (lane, result) in enumerate(zip(lanes, results)):
             _assert_identical(result, _reference(cp, lane), i)
+
+
+class TestScheduleCapture:
+    """The schedule the engine captures is exactly what replay retraces."""
+
+    def test_replaying_a_capture_reproduces_its_run(self):
+        equal_instant_groups = 0
+        slowed_lanes = 0
+        for factors in (False, True):
+            for seed in range(20):
+                cp, lanes = _zero_heavy_case(seed, factors)
+                for i, lane in enumerate(lanes):
+                    context = (seed, factors, i)
+                    lane_cp = dataclasses.replace(
+                        cp, durations=lane.durations or cp.durations
+                    )
+                    schedule = []
+                    run = _simulate(
+                        lane_cp, lane.events, lane.start_time_s, False, schedule
+                    )
+                    # Capturing does not change the run.
+                    _assert_identical(run, _reference(cp, lane), context)
+                    rates = _lane_rates(cp, lane)
+                    slowed_lanes += bool(rates)
+                    replay = _replay(schedule, lane_cp.durations, rates, cp.plan)
+                    assert replay is not None, context
+                    assert replay.start_times == run.start_times, context
+                    assert replay.end_times == run.end_times, context
+                    assert replay.makespan_s == run.makespan_s, context
+                    times = [run.end_times[done[0]] for done in schedule[2::2]]
+                    equal_instant_groups += sum(
+                        a == b for a, b in zip(times, times[1:])
+                    )
+        # The inputs really exercise the equal-instant rule and the rates.
+        assert equal_instant_groups >= 100
+        assert slowed_lanes >= 100
+
+    def test_equal_instant_rule_rejects_merged_groups(self):
+        """Two pilot instants that coincide in a lane must not replay.
+
+        In the pilot ``x`` takes ``r2`` when ``a`` finishes, before ``b``
+        frees ``y``.  When ``a`` and ``b`` finish together the engine drains
+        them as one group and the higher-priority ``y`` takes ``r2`` first.
+        """
+        plan = ExecutionPlan()
+        a = plan.add("a", TaskKind.OTHER, 1.0, ("r0",))
+        b = plan.add("b", TaskKind.OTHER, 2.0, ("r1",))
+        plan.add("x", TaskKind.OTHER, 5.0, ("r2",), deps=[a], priority=1)
+        plan.add("y", TaskKind.OTHER, 1.0, ("r2",), deps=[b], priority=0)
+        cp = compile_plan(plan)
+        lanes = [Lane(), Lane(durations=(2.0, 2.0, 5.0, 1.0))]
+        with Telemetry(sink=ListSink()) as tele:
+            results = simulate_batch(cp, lanes, telemetry=tele)
+        assert tele.counters["batch_lanes_replayed"] == 0
+        for i, (lane, result) in enumerate(zip(lanes, results)):
+            _assert_identical(result, _reference(cp, lane), i)
+        assert results[1].start_times[3] < results[1].start_times[2]
+
+    def test_failed_replay_lane_becomes_the_pilot(self):
+        plan = ExecutionPlan()
+        a = plan.add("a", TaskKind.OTHER, 1.0, ("r0",))
+        b = plan.add("b", TaskKind.OTHER, 2.0, ("r1",))
+        plan.add("c", TaskKind.OTHER, 1.0, ("r0", "r1"), deps=[a, b])
+        cp = compile_plan(plan)
+        lanes = [
+            Lane(),  # the pilot: a finishes before b
+            Lane(durations=(2.0, 1.0, 1.0)),  # b before a: replay fails
+            Lane(durations=(4.0, 2.0, 2.0)),  # lane 2 scaled: fits its schedule
+        ]
+        with Telemetry(sink=ListSink()) as tele:
+            results = simulate_batch(cp, lanes, telemetry=tele)
+        assert tele.counters["batch_lanes_replayed"] == 1
+        for i, (lane, result) in enumerate(zip(lanes, results)):
+            _assert_identical(result, _reference(cp, lane), i)
+        # Only lane 2's schedule fits lane 3: the first pilot's rejects it.
+        first_pilot = []
+        _simulate(cp, (), 0.0, False, first_pilot)
+        assert _replay(first_pilot, lanes[2].durations, (), plan) is None
 
 
 class TestErrorParity:

@@ -7,13 +7,11 @@ simulator -> throughput, compared against every baseline on identical batches.
 
 import pytest
 
+from repro.api import Session
 from repro.core.plan import TaskKind
-from repro.core.strategy import StrategyContext
 from repro.core.zeppelin import ZeppelinStrategy
 from repro.data.datasets import SyntheticDataset
 from repro.sim.engine import Simulator
-from repro.training.runner import TrainingRun, TrainingRunConfig
-from repro.training.throughput import measure_throughput
 
 
 class TestHeadlineClaim:
@@ -21,18 +19,16 @@ class TestHeadlineClaim:
 
     @pytest.mark.parametrize("dataset", ["arxiv", "github", "prolong64k"])
     def test_zeppelin_wins_on_every_dataset(self, dataset):
-        run = TrainingRun(
-            TrainingRunConfig(
-                model="7b",
-                num_gpus=16,
-                dataset=dataset,
-                total_context=64 * 1024,
-                num_steps=2,
-                seed=3,
-            )
+        session = Session(
+            model="7b",
+            num_gpus=16,
+            dataset=dataset,
+            total_context=64 * 1024,
+            num_steps=2,
+            seed=3,
         )
-        reports = run.compare(("te_cp", "llama_cp", "hybrid_dp", "zeppelin"))
-        by_name = {r.strategy: r.tokens_per_second for r in reports}
+        result = session.compare(("te_cp", "llama_cp", "hybrid_dp", "zeppelin"))
+        by_name = {r.label: r.tokens_per_second for r in result}
         zeppelin = by_name["Zeppelin"]
         assert zeppelin == max(by_name.values())
         # The paper reports 1.8x-6.6x over TE CP across configurations.
@@ -43,18 +39,16 @@ class TestHeadlineClaim:
         (the Fig. 8 observation)."""
         speedups = {}
         for dataset in ("arxiv", "prolong64k"):
-            run = TrainingRun(
-                TrainingRunConfig(
-                    model="7b",
-                    num_gpus=16,
-                    dataset=dataset,
-                    total_context=64 * 1024,
-                    num_steps=2,
-                    seed=0,
-                )
+            session = Session(
+                model="7b",
+                num_gpus=16,
+                dataset=dataset,
+                total_context=64 * 1024,
+                num_steps=2,
+                seed=0,
             )
-            reports = run.compare(("te_cp", "zeppelin"))
-            speedups[dataset] = reports[1].tokens_per_second / reports[0].tokens_per_second
+            runs = session.compare(("te_cp", "zeppelin")).runs
+            speedups[dataset] = runs[1].tokens_per_second / runs[0].tokens_per_second
         assert speedups["arxiv"] > speedups["prolong64k"]
 
 
@@ -62,17 +56,15 @@ class TestMoEBehaviour:
     def test_hybrid_dp_is_weak_for_moe(self):
         """Hybrid DP's FLOP-based assignment underperforms for the MoE model
         (the Fig. 8 bottom-row observation)."""
-        run = TrainingRun(
-            TrainingRunConfig(
-                model="8x550m",
-                num_gpus=16,
-                dataset="arxiv",
-                total_context=64 * 1024,
-                num_steps=2,
-            )
+        session = Session(
+            model="8x550m",
+            num_gpus=16,
+            dataset="arxiv",
+            total_context=64 * 1024,
+            num_steps=2,
         )
-        reports = run.compare(("te_cp", "llama_cp", "hybrid_dp", "zeppelin"))
-        by_name = {r.strategy: r.tokens_per_second for r in reports}
+        result = session.compare(("te_cp", "llama_cp", "hybrid_dp", "zeppelin"))
+        by_name = {r.label: r.tokens_per_second for r in result}
         assert by_name["Hybrid DP"] < by_name["Zeppelin"]
         assert by_name["Zeppelin"] == max(by_name.values())
 
@@ -81,14 +73,12 @@ class TestPlanConsistency:
     def test_forward_and_backward_plans_simulate_for_every_strategy(self, context_16):
         dataset = SyntheticDataset(name="github", total_context=64 * 1024, seed=11)
         batch = dataset.batch()
-        run = TrainingRun(
-            TrainingRunConfig(
-                model="7b", num_gpus=16, dataset="github", total_context=64 * 1024, num_steps=1
-            )
+        session = Session(
+            model="7b", num_gpus=16, dataset="github", total_context=64 * 1024, num_steps=1
         )
         sim = Simulator(record_trace=False)
         for name in ("te_cp", "llama_cp", "hybrid_dp", "zeppelin", "packing"):
-            strategy = run.strategy(name)
+            strategy = session.strategy(name)
             for phase in ("forward", "backward"):
                 plan = strategy.plan_layer(batch, phase=phase)
                 result = sim.run(plan)
@@ -115,33 +105,29 @@ class TestPlanConsistency:
 
 class TestTensorParallelConfiguration:
     def test_13b_with_tp2_runs_and_zeppelin_wins(self):
-        run = TrainingRun(
-            TrainingRunConfig(
-                model="13b",
-                num_gpus=32,
-                dataset="arxiv",
-                total_context=64 * 1024,
-                tensor_parallel=2,
-                num_steps=1,
-            )
+        session = Session(
+            model="13b",
+            num_gpus=32,
+            dataset="arxiv",
+            total_context=64 * 1024,
+            tensor_parallel=2,
+            num_steps=1,
         )
-        reports = run.compare(("te_cp", "zeppelin"))
-        assert reports[1].tokens_per_second > reports[0].tokens_per_second
+        runs = session.compare(("te_cp", "zeppelin")).runs
+        assert runs[1].tokens_per_second > runs[0].tokens_per_second
 
 
 class TestClusterCInfrastructure:
     def test_30b_on_cluster_c(self):
-        run = TrainingRun(
-            TrainingRunConfig(
-                model="30b",
-                cluster_preset="C",
-                num_gpus=32,
-                dataset="github",
-                total_context=64 * 1024,
-                tensor_parallel=2,
-                num_steps=1,
-            )
+        session = Session(
+            model="30b",
+            cluster_preset="C",
+            num_gpus=32,
+            dataset="github",
+            total_context=64 * 1024,
+            tensor_parallel=2,
+            num_steps=1,
         )
-        reports = run.compare(("te_cp", "llama_cp", "zeppelin"))
-        by_name = {r.strategy: r.tokens_per_second for r in reports}
+        result = session.compare(("te_cp", "llama_cp", "zeppelin"))
+        by_name = {r.label: r.tokens_per_second for r in result}
         assert by_name["Zeppelin"] == max(by_name.values())

@@ -1,7 +1,5 @@
 """Tests for the strategy/experiment registry subsystem."""
 
-import warnings
-
 import pytest
 
 from repro.core.plan import ExecutionPlan, TaskKind
@@ -148,29 +146,3 @@ class TestPluggability:
         # A built-in name is taken even before its module has been imported.
         with pytest.raises(DuplicateEntryError):
             register_strategy("te_cp")(toy_strategy)
-
-
-class TestDeprecatedShims:
-    def test_build_strategy_still_works_and_warns(self, context_3b_16):
-        from repro.training.runner import build_strategy
-
-        with pytest.warns(DeprecationWarning):
-            strategy = build_strategy("zeppelin", context_3b_16, use_routing=False)
-        assert "no routing" in strategy.name
-
-    def test_training_run_still_works_and_warns(self):
-        from repro.training.runner import TrainingRun, TrainingRunConfig
-
-        config = TrainingRunConfig(
-            model="3b", num_gpus=16, total_context=32 * 1024, num_steps=1
-        )
-        with pytest.warns(DeprecationWarning):
-            run = TrainingRun(config)
-        reports = run.compare(("te_cp", "zeppelin"))
-        assert [r.strategy for r in reports] == ["TE CP", "Zeppelin"]
-
-    def test_training_run_config_is_session_config(self):
-        from repro.api import SessionConfig
-        from repro.training.runner import TrainingRunConfig
-
-        assert TrainingRunConfig is SessionConfig

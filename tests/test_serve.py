@@ -21,8 +21,6 @@ from repro.serve.driver import ServeSimulation
 from repro.serve.metrics import QueueDepthTracker, percentile
 from repro.serve.queue import (
     AdmissionContext,
-    AdmissionPolicy,
-    LegacyAdmissionAdapter,
     RequestQueue,
     as_admission,
 )
@@ -163,7 +161,8 @@ class TestQueueAndAdmission:
 
     def test_as_admission_and_validation(self):
         assert as_admission(None).name == "fifo"
-        assert as_admission("priority").name == "priority"
+        for name in ("fifo", "priority", "slo_aware"):
+            assert as_admission(name).name == name
         with pytest.raises(ValueError):
             RequestQueue("fifo", concurrency=0)
 
@@ -637,35 +636,6 @@ class TestSloAwareAdmission:
         # Known-too-expensive cell is shed.
         ctx = AdmissionContext(slo_s=0.1, cost_estimate=lambda cell: 5.0)
         assert not policy.admit(request, ctx)
-
-
-class TestLegacyAdmissionShim:
-    class OldStyle(AdmissionPolicy):
-        name = "old_style"
-
-        def key(self, request):  # pre-AdmissionContext signature
-            return (request.arrival_s, request.rid)
-
-    def test_old_signature_wrapped_with_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="key\\(request\\)"):
-            policy = as_admission(self.OldStyle())
-        assert isinstance(policy, LegacyAdmissionAdapter)
-        assert policy.name == "old_style"
-        request = Request(rid=3, arrival_s=1.5, cell=RequestCell("zeppelin"))
-        assert policy.key(request, AdmissionContext()) == (1.5, 3)
-        assert policy.admit(request, AdmissionContext())
-
-    def test_wrapped_policy_serves_a_run(self):
-        with pytest.warns(DeprecationWarning):
-            result = tiny_session().serve(
-                MIX, rate=10.0, duration_s=2.0, admission=self.OldStyle()
-            )
-        assert result.admission == "old_style"
-        assert result.completed == result.num_requests
-
-    def test_new_style_policies_are_not_wrapped(self):
-        assert not isinstance(as_admission("fifo"), LegacyAdmissionAdapter)
-        assert not isinstance(as_admission("slo_aware"), LegacyAdmissionAdapter)
 
 
 class TestDeadlineBatcher:
