@@ -5,18 +5,22 @@ strategy mix) through :class:`~repro.serve.driver.ServeSimulation` and
 measures how many requests the serving stack retires per *real* second —
 queueing, batching, cache lookups and the underlying simulations included.
 
-Two regression guards:
+Three regression guards:
 
 * the warm path (plan caches + in-run result cache populated) must clear a
-  conservative requests/sec floor, and
+  conservative requests/sec floor,
 * caching must collapse the repeated-cell mix to one simulation per distinct
-  cell — the property that makes heavy traffic affordable at all.
+  cell — the property that makes heavy traffic affordable at all, and
+* a deep FIFO backlog (800 req/s offered) must keep the per-request cost of
+  a 100 req/s run: a floor on warm requests/sec and a bound on the *ratio*
+  of wall time per request between the two loads.
 
 CI runs this file as a perf smoke step and uploads the printed table as a
 workflow artifact, so per-PR serving-throughput trajectories stay
 inspectable.
 """
 
+import math
 import time
 
 from repro.api import Session
@@ -30,6 +34,14 @@ MIX = {"zeppelin": 2.0, "te_cp": 1.0, "llama_cp": 1.0}
 # Warm requests/sec floor: measured ~20k on the reference laptop; two orders
 # of magnitude of headroom for slow CI machines.
 MIN_WARM_RPS = 200.0
+
+# Deep-queue case: the cold start of an 800 req/s run builds a backlog of
+# about a thousand requests.  The floor is the figure the serve hot path
+# promises at that load; the ratio bounds how much more each request may
+# cost than at 100 req/s (best of three warm runs each).
+DEEP_RATES_RPS = (100.0, 800.0)
+MIN_DEEP_WARM_RPS = 5000.0
+MAX_DEEP_COST_RATIO = 3.0
 
 CLOSED_SPEC = ServeSpec(
     mix=MIX,
@@ -147,3 +159,52 @@ def test_bench_serve_closed_loop(benchmark, printed_results):
             ]
         )
     )
+
+
+def test_bench_serve_deep_queue(printed_results):
+    """Open-loop fifo at 100 and 800 req/s: per-request cost stays flat."""
+    session = Session(
+        model="3b", num_gpus=16, dataset="arxiv", total_context=32 * 1024, num_steps=1
+    )
+    rows = []
+    for rate in DEEP_RATES_RPS:
+        spec = ServeSpec(mix=MIX, rate=rate, duration_s=DURATION_S, concurrency=4)
+        cold = ServeSimulation(session, spec=spec).run()  # warms the plan caches
+        best_s = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            warm = ServeSimulation(session, spec=spec).run()
+            best_s = min(best_s, time.perf_counter() - t0)
+        assert warm.to_json() == cold.to_json()
+        rows.append((rate, warm, best_s))
+
+    (_, light, light_s), (deep_rate, deep, deep_s) = rows
+    deep_rps = deep.completed / deep_s
+    ratio = (deep_s / deep.completed) / (light_s / light.completed)
+    assert deep.max_queue_depth > 10 * light.max_queue_depth  # the backlog built
+    assert deep_rps >= MIN_DEEP_WARM_RPS, (
+        f"deep-queue serving regression at {deep_rate:.0f} req/s: "
+        f"{deep_rps:,.0f} requests/s (floor {MIN_DEEP_WARM_RPS:,.0f})"
+    )
+    assert ratio <= MAX_DEEP_COST_RATIO, (
+        f"per-request wall time grows with the backlog: {ratio:.2f}x at "
+        f"{deep_rate:.0f} vs {DEEP_RATES_RPS[0]:.0f} req/s "
+        f"(bound {MAX_DEEP_COST_RATIO:g}x)"
+    )
+
+    lines = [
+        "Serving throughput vs backlog (open-loop poisson fifo x "
+        f"{DURATION_S:.0f}s, {len(MIX)}-cell mix, concurrency 4, best of 3 warm)",
+        "  offered req/s   requests   max depth   warm serve ms      req/s",
+    ]
+    for rate, result, wall_s in rows:
+        lines.append(
+            f"  {rate:13.0f} {result.completed:10d} {result.max_queue_depth:11d} "
+            f"{wall_s * 1e3:15.2f} {result.completed / wall_s:10,.0f}"
+        )
+    lines.append(
+        f"  per-request cost ratio {deep_rate:.0f}/{DEEP_RATES_RPS[0]:.0f} : "
+        f"{ratio:.2f}x (bound {MAX_DEEP_COST_RATIO:g}x); "
+        f"floor {MIN_DEEP_WARM_RPS:,.0f} req/s at {deep_rate:.0f}"
+    )
+    printed_results.append("\n".join(lines))

@@ -10,7 +10,9 @@ costs one simulation.  Execution funnels through the same
 plan compilation and batch sampling are shared across requests exactly like
 across sweep points — plus an in-run result cache keyed by the point's
 canonical JSON (the same identity :mod:`repro.exec.cache` hashes), so a cell
-seen twice skips the simulation entirely.
+seen twice skips the simulation entirely.  That identity is encoded once per
+(capacity config, cell) and memoised beside the point, so a served request
+costs dictionary lookups, never a JSON encode.
 
 Below the cache sits the batched simulation kernel: a cell's simulation runs
 through :func:`~repro.training.throughput.measure_throughput`, whose
@@ -75,16 +77,20 @@ class Batcher:
         self.telemetry = telemetry
         self.pool = SessionPool(session)
         self.simulations_executed = 0
-        # key -> (virtual time the producing execution finishes, result dict).
-        # Entries are stored at dispatch but only *answer* requests causally:
-        # before ready_at_s a later batch joins the in-flight execution.
+        # key -> (virtual time the producing execution finishes, result dict),
+        # stored by every simulation.  With the cache on, entries also answer
+        # requests, causally: before ready_at_s a later batch joins the
+        # in-flight execution.
         self._results: dict[str, tuple[float, dict[str, Any]]] = {}
         # The config new dispatches resolve against.  The autoscaler swaps it
         # via rescale(); points are keyed per (config, cell) so each capacity
         # level keeps its own execution identity (and thus cache entries).
         self._config_dict = session.config.to_dict()
         self._config_key = SweepPoint(self._config_dict).canonical_json()
-        self._points: dict[tuple[str, RequestCell], SweepPoint] = {}
+        # (config key, cell) -> (point, the point's canonical JSON).  The JSON
+        # is the result-cache key, so pairs that resolve to equal points (a
+        # cell pinning num_gpus, seen at two capacities) share one entry.
+        self._points: dict[tuple[str, RequestCell], tuple[SweepPoint, str]] = {}
 
     # -- capacity ----------------------------------------------------------------
 
@@ -107,8 +113,12 @@ class Batcher:
         Resolves the cell's strategy through the registry on first sight, so
         a bad mix fails before any request is simulated.
         """
-        point = self._points.get((self._config_key, cell))
-        if point is None:
+        return self._resolve(cell)[0]
+
+    def _resolve(self, cell: RequestCell) -> tuple[SweepPoint, str]:
+        """The cell's point and result-cache key at the current capacity."""
+        entry = self._points.get((self._config_key, cell))
+        if entry is None:
             get_strategy(cell.strategy)
             values = {
                 **self._config_dict,
@@ -121,19 +131,21 @@ class Batcher:
                 "num_iterations": 32,
             }
             point = SweepPoint(values)
-            self._points[(self._config_key, cell)] = point
-        return point
+            entry = (point, point.canonical_json())
+            self._points[(self._config_key, cell)] = entry
+        return entry
 
     def cost_estimate(self, cell: RequestCell) -> float | None:
         """Measured service time of ``cell`` at the current capacity, if known.
 
-        Reads the in-run result cache: ``None`` until the cell has executed
-        once (on the current config), after which the last measured iteration
-        time is the estimate.  This is what SLO-aware admission and the
-        deadline batcher consult — no separate model, just the cache.
+        ``None`` until the cell has been simulated once on the current config
+        (or on any config resolving to the same point), after which the last
+        measured iteration time is the estimate.  Every simulation records
+        it, with the result cache on or off.  This is what SLO-aware
+        admission and the deadline batcher consult — no separate model, and
+        two dictionary lookups per call.
         """
-        key = self.point_for(cell).canonical_json()
-        entry = self._results.get(key)
+        entry = self._results.get(self._resolve(cell)[1])
         if entry is None:
             return None
         return float(entry[1]["iteration_time_s"])
@@ -155,11 +167,12 @@ class Batcher:
         (shared-future semantics — the batch holds its slot and completes at
         the producer's finish, never before the result virtually exists); a
         miss runs the cell's simulation (through the session pool, so plan
-        caches are shared) and takes the measured iteration time.
+        caches are shared) and takes the measured iteration time.  With the
+        cache off every batch simulates, and each simulation still records
+        the cell's measured cost for :meth:`cost_estimate`.
         """
         cell = requests[0].cell
-        point = self.point_for(cell)
-        key = point.canonical_json()
+        point, key = self._resolve(cell)
         cached = self._results.get(key) if self.cache else None
         if cached is not None:
             ready_at_s, _ = cached
@@ -175,8 +188,7 @@ class Batcher:
             )
             self.simulations_executed += 1
             finish_s = now_s + float(result["iteration_time_s"])
-            if self.cache:
-                self._results[key] = (finish_s, result)
+            self._results[key] = (finish_s, result)
             served_by = "simulate"
         for i, request in enumerate(requests):
             request.start_s = now_s

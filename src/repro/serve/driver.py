@@ -217,13 +217,13 @@ class ServeSimulation:
         return AdmissionContext(
             now_s=now,
             queue_depth=self.queue.depth,
-            queued_work_s=self.queue.queued_work_s(self.batcher.cost_estimate),
             in_flight=in_flight,
             concurrency=self.queue.concurrency,
             slo_s=self.slo_s,
             latency=sketch,
             completion_rate=completion_rate,
             cost_estimate=self.batcher.cost_estimate,
+            queue=self.queue,
         )
 
     def _reissue(self, request: Request, now: float, pending: list) -> None:

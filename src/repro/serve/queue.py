@@ -24,6 +24,7 @@ so at most ``concurrency`` executions are ever in flight.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -50,9 +51,17 @@ class AdmissionContext:
     ----------
     now_s:
         The virtual time of the decision.
-    queue_depth / queued_work_s:
-        Requests currently waiting, and the estimated seconds of service
-        they represent (cells without a cost estimate yet contribute 0).
+    queue_depth / queue:
+        Requests currently waiting, and the queue holding them (``None``
+        outside a run).
+    queued_work_s:
+        The estimated seconds of service the queued requests represent
+        (:meth:`RequestQueue.queued_work_s`; cells without a cost estimate
+        yet contribute 0, and so does a context without a queue).  Computed
+        on first read, so policies that never read it never scan the queue;
+        the queue must not change between building the context and that
+        read.  :meth:`RequestQueue.offer` consults the policy before it
+        inserts, so a read there sees the queue the arrival found.
     in_flight / concurrency:
         Executions currently running and the driver's limit.
     slo_s:
@@ -67,7 +76,6 @@ class AdmissionContext:
 
     now_s: float = 0.0
     queue_depth: int = 0
-    queued_work_s: float = 0.0
     in_flight: int = 0
     concurrency: int = 1
     slo_s: float | None = None
@@ -76,6 +84,14 @@ class AdmissionContext:
     cost_estimate: "Callable[[RequestCell], float | None] | None" = field(
         default=None, repr=False
     )
+    queue: "RequestQueue | None" = field(default=None, repr=False)
+
+    @functools.cached_property
+    def queued_work_s(self) -> float:
+        """Estimated seconds of queued service, summed on first read."""
+        if self.queue is None or self.cost_estimate is None:
+            return 0.0
+        return self.queue.queued_work_s(self.cost_estimate)
 
     def estimated_cost_s(self, cell: RequestCell) -> float | None:
         """The cached service-time estimate for ``cell`` (``None`` if unseen)."""
@@ -194,9 +210,12 @@ def as_admission(admission: "str | AdmissionPolicy | None") -> AdmissionPolicy:
 class RequestQueue:
     """Admission-ordered queue of waiting requests.
 
-    Kept as a key-sorted list (queue depths are small relative to the cost of
-    a simulation, and a scan is what the batcher needs anyway); every
-    operation is deterministic because admission keys are unique.
+    Kept as a key-sorted list; every operation is deterministic because
+    admission keys are unique.  An arrival costs one admission verdict, one
+    key and a binary insert; a dispatch scans the queue once to coalesce
+    same-cell requests (:meth:`take_matching`).  Queued work
+    (:meth:`queued_work_s`) is a scan with one cost lookup per request, and
+    only policies that read :attr:`AdmissionContext.queued_work_s` pay it.
     """
 
     def __init__(self, admission: "str | AdmissionPolicy | None" = None, concurrency: int = 4):

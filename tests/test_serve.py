@@ -1,5 +1,6 @@
 """Tests for repro.serve: arrivals, queueing, batching, metrics and the CLI."""
 
+import collections
 import json
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.api import Session
 from repro.cli import CONFIG_ERROR_EXIT_CODE, build_parser, main
+from repro.exec.spec import SweepPoint
 from repro.results import ServeResult, result_from_dict
 from repro.serve.arrivals import (
     ClosedLoopArrivals,
@@ -17,6 +19,7 @@ from repro.serve.arrivals import (
     as_arrival,
     as_mix,
 )
+from repro.serve.batcher import Batcher
 from repro.serve.driver import ServeSimulation
 from repro.serve.metrics import QueueDepthTracker, percentile
 from repro.serve.queue import (
@@ -42,6 +45,31 @@ def tiny_session(seed=0, **overrides):
 
 
 MIX = {"zeppelin": 2.0, "te_cp": 1.0}
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Count identity encodes and queued-work sums for the test's duration."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        SweepPoint,
+        "canonical_json",
+        counted("canonical_json", SweepPoint.canonical_json),
+    )
+    monkeypatch.setattr(
+        RequestQueue,
+        "queued_work_s",
+        counted("queued_work_s", RequestQueue.queued_work_s),
+    )
+    return counts
 
 
 class TestArrivals:
@@ -636,6 +664,91 @@ class TestSloAwareAdmission:
         # Known-too-expensive cell is shed.
         ctx = AdmissionContext(slo_s=0.1, cost_estimate=lambda cell: 5.0)
         assert not policy.admit(request, ctx)
+
+    def test_cache_off_still_estimates_costs_and_sheds(self):
+        # Every simulation records its cell's cost, so the estimate slo_aware
+        # sheds on does not depend on the result cache answering requests.
+        batcher = Batcher(tiny_session(), cache=False)
+        cell = RequestCell("zeppelin")
+        assert batcher.cost_estimate(cell) is None
+        batch = batcher.execute([Request(rid=0, arrival_s=0.0, cell=cell)], 0.0)
+        assert batcher.cost_estimate(cell) == batch.finish_s > 0
+        result = tiny_session().serve(self.TIGHT.replace(clients=32, cache=False))
+        assert result.cache_hits == 0
+        assert result.shed_count > 0
+        assert result.completed + result.shed_count == result.num_requests
+
+
+class TestLoadIndependence:
+    """Per-request host work must not grow with the queue.
+
+    Counted, not timed: a cost that scales with queue depth shows up as
+    calls that scale with the offered load.
+    """
+
+    SPEC = ServeSpec(mix={"te_cp": 2.0, "llama_cp": 1.0}, duration_s=1.0)
+
+    def test_fifo_identity_encodes_do_not_grow_with_load(self, call_counts):
+        session = tiny_session()
+        encodes, depths = [], []
+        for rate in (100.0, 800.0):
+            call_counts.clear()
+            result = session.serve(self.SPEC.replace(rate=rate))
+            encodes.append(call_counts["canonical_json"])
+            depths.append(result.max_queue_depth)
+        assert depths[1] > 4 * depths[0]  # the backlog really got deeper
+        assert encodes[0] == encodes[1]
+
+    @pytest.mark.parametrize("admission", ["fifo", "priority"])
+    def test_ordering_policies_never_sum_queued_work(self, call_counts, admission):
+        spec = self.SPEC.replace(
+            rate=400.0, admission=admission, slo_s=1.0, coalesce_s=0.05
+        )
+        result = tiny_session().serve(spec)
+        assert result.max_queue_depth > 100
+        assert call_counts["queued_work_s"] == 0
+
+    def test_slo_aware_sums_queued_work_at_most_once_per_arrival(self, call_counts):
+        spec = self.SPEC.replace(rate=400.0, admission="slo_aware", slo_s=1.0)
+        result = tiny_session().serve(spec)
+        assert result.shed_count > 0
+        assert 0 < call_counts["queued_work_s"] <= result.num_requests
+
+    def test_queued_work_is_summed_on_first_read_only(self, call_counts):
+        queue = RequestQueue("fifo")
+        cell = RequestCell("te_cp")
+        for rid in range(3):
+            queue.push(Request(rid=rid, arrival_s=float(rid), cell=cell))
+        ctx = AdmissionContext(concurrency=2, cost_estimate=lambda _: 0.5, queue=queue)
+        assert call_counts["queued_work_s"] == 0
+        assert ctx.estimated_wait_s() == 0.75
+        assert ctx.queued_work_s == 1.5
+        assert call_counts["queued_work_s"] == 1
+        assert AdmissionContext().queued_work_s == 0.0
+
+    def test_identity_encoded_once_per_capacity_and_cell(self, call_counts):
+        session = tiny_session()
+        batcher = Batcher(session)
+        cell = RequestCell("te_cp")
+        call_counts.clear()
+        for _ in range(5):
+            batcher.point_for(cell)
+            assert batcher.cost_estimate(cell) is None
+        assert call_counts["canonical_json"] == 1
+        batcher.rescale(session.derive(num_gpus=32).config)
+        batcher.cost_estimate(cell)
+        assert call_counts["canonical_json"] == 3  # the config, then the cell at it
+
+    def test_cells_resolving_to_one_point_share_a_cache_entry(self):
+        # A cell pinning num_gpus is the same execution at every capacity.
+        session = tiny_session()
+        batcher = Batcher(session)
+        pinned = RequestCell("te_cp", overrides={"num_gpus": 16})
+        first = batcher.execute([Request(rid=0, arrival_s=0.0, cell=pinned)], 0.0)
+        batcher.rescale(session.derive(num_gpus=32).config)
+        assert batcher.cost_estimate(pinned) == first.finish_s
+        again = batcher.execute([Request(rid=1, arrival_s=9.0, cell=pinned)], 9.0)
+        assert again.cache_hit and batcher.simulations_executed == 1
 
 
 class TestDeadlineBatcher:
