@@ -14,12 +14,12 @@ this file in the perf-smoke job and prints the table.
 
 import time
 
+from repro import registry
 from repro.api import Session
 from repro.core.attention_engine import RingGroup, causal_pairs_between
 from repro.core.chunking import zigzag_assignment
 from repro.core.partitioner import RingSpec
 from repro.core.zones import Zone
-from repro.registry import get_strategy
 
 SESSION = dict(model="7b", total_context=128 * 1024, dataset="arxiv", seed=0)
 GPU_COUNTS = (16, 32, 64, 128)
@@ -34,7 +34,7 @@ def _plan_seconds(name: str, num_gpus: int) -> tuple[float, int]:
     """Forward + backward plan time of a cold strategy, and its task count."""
     session = Session(num_gpus=num_gpus, num_steps=1, **SESSION)
     batch = session.batches[0]
-    strategy = get_strategy(name).obj(session.context)
+    strategy = registry.STRATEGIES.get(name).obj(session.context)
     t0 = time.perf_counter()
     plans = [strategy.plan_layer(batch, phase=p) for p in ("forward", "backward")]
     return time.perf_counter() - t0, sum(p.num_tasks for p in plans)

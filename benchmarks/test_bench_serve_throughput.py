@@ -56,9 +56,8 @@ CLOSED_SPEC = ServeSpec(
 
 
 def _serve(session):
-    sim = ServeSimulation(
-        session, MIX, rate=RATE_RPS, duration_s=DURATION_S, concurrency=4
-    )
+    spec = ServeSpec(mix=MIX, rate=RATE_RPS, duration_s=DURATION_S, concurrency=4)
+    sim = ServeSimulation(session, spec)
     return sim.run()
 
 

@@ -44,9 +44,9 @@ plans, so repeated comparisons, ablations and :meth:`Session.sweep` grids
 reuse plans instead of replanning.  New strategies plug in through the
 registry — no core file changes needed::
 
-    from repro import Strategy, register_strategy
+    from repro import STRATEGIES, Strategy
 
-    @register_strategy("my_strategy", description="what it does")
+    @STRATEGIES.register("my_strategy", description="what it does")
     class MyStrategy(Strategy):
         def plan_layer(self, batch, phase="forward"):
             ...
@@ -63,24 +63,19 @@ from repro.dynamics import PerturbationConfig, PerturbationModel
 from repro.exec import SweepPoint, SweepResult, SweepSpec, run_sweep
 from repro.model.spec import get_model
 from repro.registry import (
-    available_admissions,
-    available_arrivals,
-    available_backends,
-    available_experiments,
-    available_recoveries,
-    available_rules,
-    available_strategies,
-    register_admission,
-    register_arrival,
-    register_backend,
-    register_experiment,
-    register_recovery,
-    register_rule,
-    register_strategy,
+    ADMISSIONS,
+    ARRIVALS,
+    BACKENDS,
+    EXPERIMENTS,
+    RECOVERIES,
+    RULES,
+    SCALES,
+    STRATEGIES,
+    SUBMITTERS,
 )
 from repro.results import CompareResult, ResilienceResult, RunResult, ServeResult
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "DEFAULT_COMPARISON",
@@ -102,20 +97,15 @@ __all__ = [
     "SweepSpec",
     "run_sweep",
     "get_model",
-    "available_admissions",
-    "available_arrivals",
-    "available_backends",
-    "available_experiments",
-    "available_recoveries",
-    "available_rules",
-    "available_strategies",
-    "register_admission",
-    "register_arrival",
-    "register_backend",
-    "register_experiment",
-    "register_recovery",
-    "register_rule",
-    "register_strategy",
+    "ADMISSIONS",
+    "ARRIVALS",
+    "BACKENDS",
+    "EXPERIMENTS",
+    "RECOVERIES",
+    "RULES",
+    "SCALES",
+    "STRATEGIES",
+    "SUBMITTERS",
     "CompareResult",
     "ResilienceResult",
     "RunResult",

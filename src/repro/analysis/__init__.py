@@ -7,13 +7,13 @@ conventions behind the repo's reproducibility guarantee::
     repro analyze --rule D001 --json src
 
 Rules (each a :class:`~repro.analysis.model.Rule` registered with
-``@register_rule``, so ``repro list`` shows them):
+``@RULES.register``, so ``repro list`` shows them):
 
 * **D001** — no wall-clock reads outside :mod:`repro.obs`.
 * **D002** — no unseeded randomness (global ``random.*``, seedless ctors).
 * **D003** — no ``os.environ``/``os.getenv`` outside :mod:`repro.config`.
-* **R001** — every ``@register_*`` module is listed in its
-  ``_BUILTIN_*_MODULES`` table (lazy-registry drift).
+* **R001** — every ``@NAME.register`` module is listed in the
+  ``_BUILTIN_*_MODULES`` table of registry ``NAME`` (lazy-registry drift).
 * **E001** — emitted event types stay inside the closed ``EVENT_TYPES``
   vocabulary of :mod:`repro.obs.events`.
 * **S001** — wall-clock-derived result data lives under ``meta["timing"]``.

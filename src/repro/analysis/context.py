@@ -4,10 +4,12 @@ The driver parses every file once, then builds one :class:`AnalysisContext`
 shared by all rules.  The context carries the whole-program facts that no
 single file can answer:
 
-* every ``register_*`` registration site (decorator or direct call), for the
-  registry-completeness rule R001;
-* every ``_BUILTIN_*_MODULES`` dict literal, i.e. the lazy-registry tables
-  those registrations must appear in;
+* every ``NAME = Registry(label, _BUILTIN_<KIND>_MODULES)`` assignment,
+  i.e. which lazy-registry table backs each registry object;
+* every ``_BUILTIN_*_MODULES`` dict literal, i.e. the tables themselves;
+* every ``NAME.register("x")`` registration site (decorator or direct
+  call) on one of those registries, with ``NAME`` resolved through the
+  file's imports, for the registry-completeness rule R001;
 * the closed event vocabulary (``EVENT_TYPES`` in ``obs/events.py``) that
   rule E001 checks emission sites against.
 
@@ -23,23 +25,7 @@ from typing import Mapping
 
 from repro.analysis.model import SourceFile
 
-# Registry kinds with a ``register_<kind>`` decorator and a matching
-# ``_BUILTIN_<KIND>_MODULES`` table in repro.registry.
-REGISTRY_KINDS = frozenset(
-    {
-        "strategy",
-        "experiment",
-        "recovery",
-        "backend",
-        "submitter",
-        "arrival",
-        "admission",
-        "scale",
-        "rule",
-    }
-)
-
-_TABLE_RE = re.compile(r"^_BUILTIN_([A-Z]+)_MODULES$")
+_TABLE_RE = re.compile(r"^_BUILTIN_[A-Z]+_MODULES$")
 
 
 @dataclass(frozen=True)
@@ -74,9 +60,9 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class Registration:
-    """One ``@register_<kind>("name")`` site found in an analyzed file."""
+    """One ``@NAME.register("name")`` site found in an analyzed file."""
 
-    kind: str
+    registry: str
     name: str
     file: SourceFile
     node: ast.AST
@@ -86,33 +72,26 @@ class Registration:
         return self.file.module
 
 
-def _registration_kind(file: SourceFile, func: ast.expr) -> str | None:
-    """Registry kind of a ``register_*`` callee, or ``None``."""
-    resolved = file.resolve(func)
-    if resolved is None and isinstance(func, ast.Name):
-        resolved = func.id
-    if resolved is None:
-        return None
-    leaf = resolved.split(".")[-1]
-    if not leaf.startswith("register_"):
-        return None
-    kind = leaf[len("register_") :]
-    return kind if kind in REGISTRY_KINDS else None
+def _leaf_name(file: SourceFile, node: ast.expr) -> str | None:
+    """Last component of what ``node`` names, resolved through the imports.
+
+    A bare name the imports do not bind (a registry defined in the same
+    file) stands for itself.
+    """
+    resolved = file.resolve(node)
+    if resolved is None and isinstance(node, ast.Name):
+        resolved = node.id
+    return None if resolved is None else resolved.rpartition(".")[2]
 
 
-def _collect_registrations(file: SourceFile) -> list[Registration]:
-    found = []
-    for node in ast.walk(file.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        kind = _registration_kind(file, node.func)
-        if kind is None or not node.args:
-            continue
-        name = node.args[0]
-        if not (isinstance(name, ast.Constant) and isinstance(name.value, str)):
-            continue  # dynamic registration name; out of static reach
-        found.append(Registration(kind=kind, name=name.value, file=file, node=node))
-    return found
+def _registry_table(file: SourceFile, value: ast.expr) -> str | None:
+    """The table argument of a ``Registry(label, _BUILTIN_*_MODULES)`` call."""
+    if not (isinstance(value, ast.Call) and len(value.args) >= 2):
+        return None
+    table = value.args[1]
+    if _leaf_name(file, value.func) != "Registry" or not isinstance(table, ast.Name):
+        return None
+    return table.id if _TABLE_RE.match(table.id) else None
 
 
 def _dict_of_str(node: ast.expr) -> dict[str, str] | None:
@@ -137,17 +116,18 @@ class AnalysisContext:
     def __init__(self, files: list[SourceFile], config: AnalysisConfig):
         self.files = files
         self.config = config
-        self.registrations: list[Registration] = []
-        # kind -> {entry name -> providing module}, merged over all files.
+        # registry name (``SUBMITTERS``) -> its table (``_BUILTIN_..._MODULES``).
+        self.registries: dict[str, str] = {}
+        # table name -> {entry name -> providing module}, merged over all files.
         self.registry_tables: dict[str, dict[str, str]] = {}
-        # kind -> the table's file/node, for anchoring table-side findings.
-        self.table_sites: dict[str, tuple[SourceFile, ast.AST]] = {}
+        self.registrations: list[Registration] = []
         self.event_types: frozenset[str] | None = None
         self.event_types_origin: str | None = None
         for file in files:
-            self.registrations.extend(_collect_registrations(file))
             self._collect_tables(file)
             self._collect_event_types(file)
+        for file in files:
+            self._collect_registrations(file)
 
     def _collect_tables(self, file: SourceFile) -> None:
         for node in ast.walk(file.tree):
@@ -156,15 +136,30 @@ class AnalysisContext:
             target = node.targets[0]
             if not isinstance(target, ast.Name):
                 continue
-            match = _TABLE_RE.match(target.id)
-            if match is None:
+            registry_table = _registry_table(file, node.value)
+            if registry_table is not None:
+                self.registries[target.id] = registry_table
+            elif _TABLE_RE.match(target.id):
+                table = _dict_of_str(node.value)
+                if table is not None:
+                    self.registry_tables.setdefault(target.id, {}).update(table)
+
+    def _collect_registrations(self, file: SourceFile) -> None:
+        for node in ast.walk(file.tree):
+            if not (isinstance(node, ast.Call) and node.args):
                 continue
-            table = _dict_of_str(node.value)
-            if table is None:
+            func = node.func
+            if not (isinstance(func, ast.Attribute) and func.attr == "register"):
                 continue
-            kind = match.group(1).lower()
-            self.registry_tables.setdefault(kind, {}).update(table)
-            self.table_sites.setdefault(kind, (file, node))
+            registry = _leaf_name(file, func.value)
+            if registry not in self.registries:
+                continue
+            name = node.args[0]
+            if not (isinstance(name, ast.Constant) and isinstance(name.value, str)):
+                continue  # dynamic registration name; out of static reach
+            self.registrations.append(
+                Registration(registry=registry, name=name.value, file=file, node=node)
+            )
 
     def _collect_event_types(self, file: SourceFile) -> None:
         for node in ast.walk(file.tree):

@@ -177,9 +177,10 @@ class Rule:
 
     Subclasses set :attr:`id` (``D001``-style) and implement :meth:`check`,
     yielding :class:`Finding`\\ s against an
-    :class:`~repro.analysis.context.AnalysisContext`.  Rules register through
-    :func:`repro.registry.register_rule`, so ``repro list`` shows them next
-    to the other registries and ``repro analyze --rule`` resolves them by id.
+    :class:`~repro.analysis.context.AnalysisContext`.  Rules register with
+    ``@RULES.register`` (:mod:`repro.registry`), so ``repro list`` shows them
+    next to the other registries and ``repro analyze --rule`` resolves them by
+    id.
     """
 
     id: str = ""

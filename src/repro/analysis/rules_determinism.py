@@ -13,7 +13,7 @@ from typing import Iterator
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.model import Finding, Rule, SourceFile
-from repro.registry import register_rule
+from repro.registry import RULES
 
 # Fully-qualified callables (and attributes) that observe the wall clock.
 WALL_CLOCK = frozenset(
@@ -59,7 +59,7 @@ def _wall_clock_refs(file: SourceFile) -> Iterator[tuple[ast.AST, str]]:
                 yield node, resolved
 
 
-@register_rule("d001")
+@RULES.register("d001")
 class WallClockRule(Rule):
     """no wall-clock reads outside repro.obs — time flows through obs spans"""
 
@@ -78,7 +78,7 @@ class WallClockRule(Rule):
                 )
 
 
-@register_rule("d002")
+@RULES.register("d002")
 class UnseededRandomnessRule(Rule):
     """no unseeded randomness — every RNG stream takes an explicit seed"""
 
@@ -127,7 +127,7 @@ class UnseededRandomnessRule(Rule):
         return None
 
 
-@register_rule("d003")
+@RULES.register("d003")
 class EnvironReadRule(Rule):
     """no os.environ/os.getenv outside repro.config — one env chokepoint"""
 

@@ -16,7 +16,7 @@ from typing import Iterator
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.model import Finding, Rule
-from repro.registry import register_rule
+from repro.registry import RULES
 
 
 def _literal_first_arg(call: ast.Call) -> ast.Constant | None:
@@ -27,7 +27,7 @@ def _literal_first_arg(call: ast.Call) -> ast.Constant | None:
     return None
 
 
-@register_rule("e001")
+@RULES.register("e001")
 class EventVocabularyRule(Rule):
     """every emitted event type appears in the closed EVENT_TYPES vocabulary"""
 

@@ -1,13 +1,15 @@
 """Registry-completeness rule R001.
 
 The registries in :mod:`repro.registry` are *lazy*: a built-in entry is only
-importable because its name appears in the matching ``_BUILTIN_*_MODULES``
-table.  A module that calls ``@register_submitter("pbs")`` but is missing
-from ``_BUILTIN_SUBMITTER_MODULES`` silently vanishes from ``repro list``
-and every CLI lookup until something else happens to import it.  R001 makes
-that drift a build failure: every registration site found in the analyzed
-tree must be listed in the corresponding table, under the module that
-actually performs the registration.
+importable because its name appears in the ``_BUILTIN_*_MODULES`` table its
+registry was built from (``SUBMITTERS = Registry("batch submitter",
+_BUILTIN_SUBMITTER_MODULES)``).  A module that calls
+``@SUBMITTERS.register("pbs")`` but is missing from
+``_BUILTIN_SUBMITTER_MODULES`` silently vanishes from ``repro list`` and
+every CLI lookup until something else happens to import it.  R001 makes that
+drift a build failure: every registration site found in the analyzed tree
+must be listed in its registry's table, under the module that actually
+performs the registration.
 """
 
 from __future__ import annotations
@@ -16,29 +18,29 @@ from typing import Iterator
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.model import Finding, Rule
-from repro.registry import register_rule
+from repro.registry import RULES
 
 
-@register_rule("r001")
+@RULES.register("r001")
 class RegistryCompletenessRule(Rule):
-    """every @register_* module is listed in its _BUILTIN_*_MODULES table"""
+    """every @NAME.register module is listed in its _BUILTIN_*_MODULES table"""
 
     id = "R001"
 
     def check(self, context: AnalysisContext) -> Iterator[Finding]:
         for reg in context.registrations:
-            table = context.registry_tables.get(reg.kind)
+            table_name = context.registries[reg.registry]
+            table = context.registry_tables.get(table_name)
             if table is None:
-                # No table of this kind in the analyzed set (e.g. a partial
-                # tree without registry.py) — nothing to check against.
+                # The registry's table is not in the analyzed set (e.g. a
+                # partial tree) — nothing to check against.
                 continue
-            table_name = f"_BUILTIN_{reg.kind.upper()}_MODULES"
             listed = table.get(reg.name.lower())
             if listed is None:
                 yield self.finding(
                     reg.file,
                     reg.node,
-                    f"@register_{reg.kind}({reg.name!r}) in {reg.module} is "
+                    f"@{reg.registry}.register({reg.name!r}) in {reg.module} is "
                     f"not listed in {table_name}; lazy lookup will never "
                     "import it",
                 )

@@ -23,7 +23,7 @@ from typing import Iterator
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.model import Finding, Rule, SourceFile
-from repro.registry import register_rule
+from repro.registry import RULES
 
 _WALL_NAME_RE = re.compile(r"wall|timestamp")
 
@@ -87,7 +87,7 @@ def _in_timing_context(file: SourceFile, node: ast.Dict) -> bool:
     return False
 
 
-@register_rule("s001")
+@RULES.register("s001")
 class TimingIsolationRule(Rule):
     """wall-clock-derived result fields live only under meta["timing"]"""
 

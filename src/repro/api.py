@@ -6,7 +6,7 @@ and caches the evaluation batches, and memoises every
 :class:`~repro.core.plan.ExecutionPlan` by (strategy configuration, batch,
 phase) so repeated comparisons, ablations and sweeps reuse plans instead of
 replanning.  Strategies are resolved through :mod:`repro.registry`, so
-anything registered with ``@register_strategy`` is immediately runnable here
+anything registered with ``@STRATEGIES.register`` is immediately runnable here
 and visible to the CLI.
 
 Quickstart::
@@ -40,7 +40,7 @@ from repro.data.datasets import SyntheticDataset
 from repro.data.sampler import Batch
 from repro.model.spec import TransformerSpec, get_model
 from repro.obs.core import Telemetry, as_telemetry, current_telemetry
-from repro.registry import get_strategy
+from repro.registry import STRATEGIES
 from repro.results import CompareResult, ResilienceResult, RunResult, ServeResult
 from repro.utils.validation import check_positive
 
@@ -236,7 +236,7 @@ class Session:
         """
         key = _strategy_key(name, kwargs)
         if key not in self._strategies:
-            entry = get_strategy(name)
+            entry = STRATEGIES.get(name)
             inner = entry.obj(self.context, **kwargs)
             self._strategies[key] = _CachedPlanStrategy(self, inner, key)
         return self._strategies[key]
@@ -497,16 +497,17 @@ class Session:
         from repro.serve.driver import run_serve
         from repro.serve.spec import ServeSpec
 
-        knobs.setdefault("telemetry", self._telemetry)
+        telemetry = knobs.pop("telemetry", self._telemetry)
         if isinstance(spec_or_mix, ServeSpec):
-            telemetry = knobs.pop("telemetry")
             if knobs:
                 raise ValueError(
                     "with a ServeSpec, pass no extra knobs (telemetry excepted); "
                     f"got {sorted(knobs)}"
                 )
-            return run_serve(self, spec=spec_or_mix, telemetry=telemetry)
-        return run_serve(self, spec_or_mix, **knobs)
+            spec = spec_or_mix
+        else:
+            spec = ServeSpec(mix=spec_or_mix, **knobs)
+        return run_serve(self, spec, telemetry=telemetry)
 
     # -- derived sessions and sweeps --------------------------------------------
 

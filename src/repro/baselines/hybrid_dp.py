@@ -36,7 +36,7 @@ from repro.core.zones import Zone
 from repro.data.sampler import Batch, Sequence
 from repro.model.flops import attention_flops, linear_flops_per_token
 from repro.model.memory import token_capacity
-from repro.registry import register_strategy
+from repro.registry import STRATEGIES
 
 _LOCAL_PRIORITY = 2
 
@@ -76,12 +76,6 @@ class MicroBatch:
                 tokens += seq.length // len(ranks)
         return tokens
 
-    def cp_ranks(self) -> set[int]:
-        ranks: set[int] = set()
-        for _, group_ranks in self.cp_groups:
-            ranks.update(group_ranks)
-        return ranks
-
 
 @dataclass
 class HybridAssignment:
@@ -105,7 +99,7 @@ class HybridAssignment:
         return totals
 
 
-@register_strategy(
+@STRATEGIES.register(
     "hybrid_dp",
     description="FLOP-balanced hybrid of plain DP (short) and ring CP (long sequences)",
 )

@@ -19,13 +19,13 @@ from repro.core.chunking import zigzag_assignment
 from repro.core.plan import ExecutionPlan, TaskKind
 from repro.core.strategy import Strategy
 from repro.data.sampler import Batch
-from repro.registry import register_strategy
+from repro.registry import STRATEGIES
 
 _ALLGATHER_PRIORITY = 0
 _ATTENTION_PRIORITY = 1
 
 
-@register_strategy(
+@STRATEGIES.register(
     "llama_cp",
     description="All-gather KV across the CP group, then local attention (LLaMA 3 style)",
 )

@@ -18,13 +18,13 @@ from repro.core.strategy import Strategy, StrategyContext
 from repro.data.packing import PackedBuffer, pack_sequences
 from repro.data.sampler import Batch
 from repro.model.memory import hidden_bytes_per_token
-from repro.registry import register_strategy
+from repro.registry import STRATEGIES
 from repro.utils.validation import check_positive
 
 _ATTENTION_PRIORITY = 1
 
 
-@register_strategy(
+@STRATEGIES.register(
     "packing",
     description="Input-balanced sequence packing into fixed-size per-rank buffers",
 )

@@ -28,7 +28,7 @@ from repro.core.routing import RoutingLayer
 from repro.core.strategy import Strategy, StrategyContext
 from repro.core.zones import Zone
 from repro.data.sampler import Batch
-from repro.registry import register_strategy
+from repro.registry import STRATEGIES
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class BatchRingGroup:
         return total
 
 
-@register_strategy(
+@STRATEGIES.register(
     "te_cp",
     description="Even sequence splitting with balanced ring attention (TransformerEngine CP)",
 )

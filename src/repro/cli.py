@@ -81,12 +81,12 @@ perturbation schedule — so any run is reproducible from one flag.  The
 ``--telemetry PATH``: structured events (:mod:`repro.obs`) stream to a JSONL
 file while the command runs, without changing any result byte.
 
-Strategies, experiments, recovery policies and execution backends are
-resolved through :mod:`repro.registry`; anything registered with
-``@register_strategy`` / ``@register_experiment`` / ``@register_recovery`` /
-``@register_backend`` shows up here without touching this module.  The same
-functionality is available programmatically through
-:class:`repro.api.Session` and :mod:`repro.exec`.
+Strategies, experiments, recovery policies, execution backends and the
+other plug-ins are resolved through the :mod:`repro.registry` objects;
+anything registered with ``@STRATEGIES.register`` /
+``@EXPERIMENTS.register`` / ``@BACKENDS.register`` (and so on) shows up
+here without touching this module.  The same functionality is available
+programmatically through :class:`repro.api.Session` and :mod:`repro.exec`.
 """
 
 from __future__ import annotations
@@ -100,26 +100,16 @@ from typing import Any, Sequence
 from repro.api import DEFAULT_COMPARISON, Session, SessionConfig
 from repro.obs.core import Telemetry, telemetry_scope
 from repro.registry import (
+    ADMISSIONS,
+    ARRIVALS,
+    BACKENDS,
+    EXPERIMENTS,
+    RECOVERIES,
+    RULES,
+    SCALES,
+    STRATEGIES,
+    SUBMITTERS,
     RegistryError,
-    admission_entries,
-    arrival_entries,
-    available_admissions,
-    available_arrivals,
-    available_scales,
-    available_backends,
-    available_experiments,
-    available_recoveries,
-    available_strategies,
-    available_submitters,
-    backend_entries,
-    experiment_aliases,
-    experiment_entries,
-    get_experiment,
-    recovery_entries,
-    scale_entries,
-    rule_entries,
-    strategy_entries,
-    submitter_entries,
 )
 from repro.utils.tables import render_table
 from repro.utils.validation import check_positive
@@ -198,7 +188,7 @@ def _add_dynamics_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--recovery",
         default="checkpoint_restart",
-        choices=list(available_recoveries()),
+        choices=list(RECOVERIES.names()),
         help="recovery policy applied on node failure",
     )
     group.add_argument(
@@ -217,7 +207,7 @@ def _add_backend_args(parser: argparse.ArgumentParser, for_experiment: bool = Fa
     group.add_argument(
         "--backend",
         default=None,
-        choices=list(available_backends()),
+        choices=list(BACKENDS.names()),
         help="execution backend (default: serial, or process when --jobs > 1; "
         "--batch-system implies cluster)",
     )
@@ -235,7 +225,7 @@ def _add_backend_args(parser: argparse.ArgumentParser, for_experiment: bool = Fa
     group.add_argument(
         "--batch-system",
         default=None,
-        choices=list(available_submitters()),
+        choices=list(SUBMITTERS.names()),
         help="cluster-backend submitter (slurm/sge/pbs, or fake for local "
         "subprocesses); implies --backend cluster",
     )
@@ -273,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="measure one strategy, optionally under injected faults"
     )
     run.add_argument(
-        "strategy", choices=list(available_strategies()), help="strategy to run"
+        "strategy", choices=list(STRATEGIES.names()), help="strategy to run"
     )
     _add_config_args(run)
     _add_dynamics_args(run)
@@ -291,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategies",
         nargs="+",
         default=list(DEFAULT_COMPARISON),
-        choices=list(available_strategies()),
+        choices=list(STRATEGIES.names()),
         help="strategies to compare (first is the speedup baseline)",
     )
     compare.add_argument(
@@ -330,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategies",
         nargs="+",
         default=list(DEFAULT_COMPARISON),
-        choices=list(available_strategies()),
+        choices=list(STRATEGIES.names()),
         help="strategy axis",
     )
     sweep.add_argument("--tensor-parallel", type=int, default=1, help="TP degree")
@@ -350,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment", help="regenerate one paper table/figure")
     experiment.add_argument(
         "name",
-        choices=list(available_experiments()) + sorted(experiment_aliases()),
+        choices=list(EXPERIMENTS.names()) + sorted(EXPERIMENTS.aliases),
         metavar="name",
         help="experiment identifier (run `repro list` for the catalogue; "
         "module-basename aliases such as fig09_scalability also work)",
@@ -373,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="export one strategy's simulated timeline as Chrome-trace JSON"
     )
     trace.add_argument(
-        "strategy", choices=list(available_strategies()), help="strategy to trace"
+        "strategy", choices=list(STRATEGIES.names()), help="strategy to trace"
     )
     _add_config_args(trace)
     trace.add_argument(
@@ -420,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     serving.add_argument(
         "--arrival",
         default="poisson",
-        choices=list(available_arrivals()),
+        choices=list(ARRIVALS.names()),
         help="arrival process drawing the request schedule",
     )
     serving.add_argument(
@@ -432,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     serving.add_argument(
         "--admission",
         default="fifo",
-        choices=list(available_admissions()),
+        choices=list(ADMISSIONS.names()),
         help="admission policy ordering the request queue",
     )
     serving.add_argument(
@@ -479,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     serving.add_argument(
         "--scale-policy",
         default=None,
-        choices=list(available_scales()),
+        choices=list(SCALES.names()),
         help="autoscale the virtual cluster with load (default: fixed size)",
     )
     serving.add_argument(
@@ -825,7 +815,7 @@ def _build_session_config_only(args: argparse.Namespace) -> Session | int:
 
 def run_experiment(args: argparse.Namespace) -> int:
     """Execute the ``experiment`` subcommand."""
-    entry = get_experiment(args.name)
+    entry = EXPERIMENTS.get(args.name)
     params = inspect.signature(entry.obj).parameters
     kwargs = {}
     if args.seed is not None:
@@ -898,7 +888,7 @@ def _parse_mix(entries: "Sequence[str] | None") -> "dict[str, float] | None":
     """Parse ``--mix`` entries (``strategy`` or ``strategy=weight``)."""
     if entries is None:
         return None
-    known = [s.lower() for s in available_strategies()]
+    known = [s.lower() for s in STRATEGIES.names()]
     mix: dict[str, float] = {}
     for entry in entries:
         name, _, weight = entry.partition("=")
@@ -986,7 +976,7 @@ def run_dynamics(args: argparse.Namespace) -> int:
     from repro.dynamics.models import PerturbationConfig
 
     print("recovery policies:")
-    for entry in recovery_entries():
+    for entry in RECOVERIES.entries():
         print(f"  {entry.name:<20} {entry.description}")
     print()
     print("perturbation knobs (PerturbationConfig defaults):")
@@ -1017,15 +1007,15 @@ def run_list(args: argparse.Namespace) -> int:
     print("models:   ", ", ".join(available_models()))
     print("datasets: ", ", ".join(available_distributions()))
     sections = (
-        ("strategies", strategy_entries()),
-        ("experiments", experiment_entries()),
-        ("recovery policies", recovery_entries()),
-        ("execution backends", backend_entries()),
-        ("batch submitters", submitter_entries()),
-        ("arrival processes", arrival_entries()),
-        ("admission policies", admission_entries()),
-        ("scale policies", scale_entries()),
-        ("analysis rules", rule_entries()),
+        ("strategies", STRATEGIES.entries()),
+        ("experiments", EXPERIMENTS.entries()),
+        ("recovery policies", RECOVERIES.entries()),
+        ("execution backends", BACKENDS.entries()),
+        ("batch submitters", SUBMITTERS.entries()),
+        ("arrival processes", ARRIVALS.entries()),
+        ("admission policies", ADMISSIONS.entries()),
+        ("scale policies", SCALES.entries()),
+        ("analysis rules", RULES.entries()),
     )
     width = max(
         len(entry.name) for _, entries in sections for entry in entries

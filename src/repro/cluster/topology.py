@@ -113,13 +113,6 @@ class Node:
     def num_nics(self) -> int:
         return len(self.nics)
 
-    def gpu_by_local_rank(self, local_rank: int) -> GPU:
-        """Return the GPU with the given local rank."""
-        for gpu in self.gpus:
-            if gpu.local_rank == local_rank:
-                return gpu
-        raise KeyError(f"node {self.node_id} has no local rank {local_rank}")
-
     def nic_for_local_rank(self, local_rank: int) -> NIC:
         """Return the NIC affined to the GPU with the given local rank."""
         for nic in self.nics:

@@ -9,13 +9,6 @@ simulator responds to is enumerable by reading this one file:
     Root directory of the content-hash result cache
     (:class:`repro.exec.cache.ResultCache`).  Default ``.repro_cache``.
 
-``REPRO_REMAP_SOLVER``
-    Default solver for :class:`repro.core.remapping.RemappingLayer` when a
-    strategy does not pin one explicitly: ``linprog``, ``greedy`` or ``auto``.
-    The resolved value is folded into the cache salt
-    (:func:`repro.exec.cache.cache_salt`), so flipping the knob can never
-    surface a result simulated under the other solver.
-
 Keeping the reads here — rather than scattered at use sites — is what makes
 "byte-identical results per seed" auditable: anything else that could vary
 between hosts has to pass through this chokepoint or through an explicit
@@ -27,11 +20,6 @@ from __future__ import annotations
 import os
 
 DEFAULT_CACHE_DIR = ".repro_cache"
-DEFAULT_REMAP_SOLVER = "auto"
-
-# Solvers RemappingLayer accepts; validated here so a bad environment value
-# fails at configuration time with the knob's name, not deep inside a run.
-REMAP_SOLVERS = ("linprog", "greedy", "auto")
 
 
 def env_str(name: str, default: str | None = None) -> str | None:
@@ -61,17 +49,6 @@ def cache_dir_override() -> str | None:
     worker's own working-directory default.
     """
     return env_str("REPRO_CACHE_DIR")
-
-
-def remap_solver() -> str:
-    """Default remapping solver: ``$REPRO_REMAP_SOLVER`` or ``auto``."""
-    value = env_str("REPRO_REMAP_SOLVER", DEFAULT_REMAP_SOLVER)
-    assert value is not None
-    if value not in REMAP_SOLVERS:
-        raise ValueError(
-            f"REPRO_REMAP_SOLVER={value!r} is not one of {REMAP_SOLVERS}"
-        )
-    return value
 
 
 def worker_environ() -> dict[str, str]:

@@ -146,11 +146,6 @@ class PartitionResult:
         """Total tokens across all placements."""
         return sum(self.tokens_per_rank().values())
 
-    def max_tokens_on_rank(self) -> int:
-        """Heaviest per-rank token load."""
-        per_rank = self.tokens_per_rank()
-        return max(per_rank.values()) if per_rank else 0
-
 
 def _argmin_load(loads: list[int]) -> int:
     """Index of the smallest load (ties broken by lowest index)."""

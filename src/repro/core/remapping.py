@@ -24,7 +24,6 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from repro.cluster.topology import Cluster
-from repro.config import remap_solver
 from repro.utils.validation import check_in, check_non_negative
 
 
@@ -103,20 +102,14 @@ class RemappingLayer:
     cluster:
         Provides node membership (for the cost matrix ``T``) and bandwidths.
     solver:
-        ``"linprog"``, ``"greedy"``, or ``"auto"`` which tries the LP and
-        falls back to greedy if the solver fails.  ``None`` (the default)
-        resolves through :func:`repro.config.remap_solver`, i.e. the
-        ``REPRO_REMAP_SOLVER`` environment knob or ``"auto"``; the resolved
-        value is part of the result-cache salt, so the knob can never
-        surface results computed under the other solver.
+        ``"linprog"``, ``"greedy"``, or ``"auto"`` (the default) which tries
+        the LP and falls back to greedy if the solver fails.
     """
 
     cluster: Cluster
-    solver: str | None = None
+    solver: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.solver is None:
-            self.solver = remap_solver()
         check_in("solver", self.solver, ("linprog", "greedy", "auto"))
 
     # -- cost matrix -------------------------------------------------------------

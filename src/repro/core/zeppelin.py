@@ -24,10 +24,10 @@ from repro.core.remapping import RemappingLayer
 from repro.core.routing import RoutingLayer
 from repro.core.strategy import Strategy, StrategyContext
 from repro.data.sampler import Batch
-from repro.registry import register_strategy
+from repro.registry import STRATEGIES
 
 
-@register_strategy(
+@STRATEGIES.register(
     "zeppelin",
     description="Hierarchical partitioning + attention engine + routing + remapping (full system)",
 )
@@ -42,7 +42,7 @@ class ZeppelinStrategy(Strategy):
         use_routing: bool = True,
         use_remapping: bool = True,
         balanced_chunking: bool = True,
-        remap_solver: str | None = None,
+        remap_solver: str = "auto",
     ) -> None:
         super().__init__(context)
         self.use_routing = use_routing

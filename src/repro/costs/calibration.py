@@ -3,7 +3,7 @@
 The paper reports a handful of absolute timings (Fig. 5, Fig. 12, §5.4) that we
 use to sanity-check the analytical cost model.  We do not fit to these values;
 they serve as "is the model in the right ballpark / does the shape hold"
-checks in the test suite and in EXPERIMENTS.md.
+checks in the test suite.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ class CalibrationPoint:
     Attributes
     ----------
     name:
-        Identifier used in tests and EXPERIMENTS.md.
+        Identifier used in tests.
     description:
         Where the number comes from in the paper.
     value_s:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.topology import Cluster
-from repro.model.memory import hidden_bytes_per_token, kv_bytes_per_token
+from repro.model.memory import kv_bytes_per_token
 from repro.model.spec import TransformerSpec
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -36,11 +36,6 @@ class CommCostModel:
         """Bytes of the per-layer KV activations for ``num_tokens`` tokens."""
         check_non_negative("num_tokens", num_tokens)
         return kv_bytes_per_token(spec) * num_tokens
-
-    def hidden_bytes(self, spec: TransformerSpec, num_tokens: int) -> float:
-        """Bytes of one hidden-state tensor for ``num_tokens`` tokens."""
-        check_non_negative("num_tokens", num_tokens)
-        return hidden_bytes_per_token(spec) * num_tokens
 
     # -- point to point ------------------------------------------------------------
 
@@ -108,18 +103,6 @@ class CommCostModel:
                 volume - cross
             )
         return self.intra_node_time(volume)
-
-    def reduce_scatter_time(
-        self,
-        ranks: tuple[int, ...],
-        bytes_per_rank: float,
-        use_all_nics: bool = True,
-        nics: int | None = None,
-    ) -> float:
-        """Ring reduce-scatter; same volume profile as all-gather."""
-        return self.allgather_time(
-            ranks, bytes_per_rank, use_all_nics=use_all_nics, nics=nics
-        )
 
     def allreduce_time(
         self, ranks: tuple[int, ...], nbytes: float, use_all_nics: bool = True

@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.model.flops import (
-    BACKWARD_FLOP_MULTIPLIER,
-    attention_flops,
-    attention_flops_chunk,
-    causal_chunk_flops,
-    linear_flops_per_token,
-)
+from repro.model.flops import attention_flops, linear_flops_per_token
 from repro.model.spec import TransformerSpec
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -90,19 +84,6 @@ class ComputeCostModel:
             "attention",
         )
 
-    def attention_chunk_time(
-        self,
-        spec: TransformerSpec,
-        query_tokens: int,
-        kv_tokens: int,
-        num_layers: int | None = None,
-    ) -> float:
-        """Forward time of one ring-attention round: queries vs one KV chunk."""
-        return self._time(
-            attention_flops_chunk(spec, query_tokens, kv_tokens, num_layers=num_layers),
-            "attention",
-        )
-
     def attention_pairs_time(
         self,
         spec: TransformerSpec,
@@ -120,19 +101,6 @@ class ComputeCostModel:
         layers = spec.num_layers if num_layers is None else num_layers
         return self._time(4.0 * num_pairs * spec.hidden_size * layers, "attention")
 
-    def causal_chunk_time(
-        self,
-        spec: TransformerSpec,
-        chunk_start: int,
-        chunk_len: int,
-        num_layers: int | None = None,
-    ) -> float:
-        """Forward time of a causal chunk starting at offset ``chunk_start``."""
-        return self._time(
-            causal_chunk_flops(spec, chunk_start, chunk_len, num_layers=num_layers),
-            "attention",
-        )
-
     # -- linear modules --------------------------------------------------------
 
     def linear_time(
@@ -145,20 +113,6 @@ class ComputeCostModel:
         check_non_negative("num_tokens", num_tokens)
         return self._time(
             linear_flops_per_token(spec, num_layers=num_layers) * num_tokens, "linear"
-        )
-
-    # -- whole-layer helpers -----------------------------------------------------
-
-    def backward_multiplier(self) -> float:
-        """Backward-to-forward time ratio (FLOP-proportional)."""
-        return BACKWARD_FLOP_MULTIPLIER
-
-    def sequence_forward_time(
-        self, spec: TransformerSpec, seq_len: int, num_layers: int | None = None
-    ) -> float:
-        """Forward time of one whole sequence (attention + linear) on one rank."""
-        return self.attention_time(spec, seq_len, num_layers=num_layers) + self.linear_time(
-            spec, seq_len, num_layers=num_layers
         )
 
     def describe(self) -> str:

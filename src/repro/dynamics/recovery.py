@@ -16,7 +16,7 @@ is lost and the run's :class:`RecoveryPolicy` decides what happens next:
   lost, at the price of reduced steady-state throughput.
 
 New policies subclass :class:`RecoveryPolicy`, implement ``recover`` and
-register with ``@register_recovery("name")``; they are then selectable from
+register with ``@RECOVERIES.register("name")``; they are then selectable from
 ``Session.run(..., recovery="name")`` and ``repro run --recovery name``.
 """
 
@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.dynamics.events import NodeFailure, PerturbationSchedule
 from repro.obs.core import TELEMETRY_OFF, Telemetry
-from repro.registry import get_recovery, register_recovery
+from repro.registry import RECOVERIES
 from repro.sim.engine import Simulator
 from repro.training.iteration import simulate_iteration, simulate_iteration_states
 from repro.utils.validation import check_non_negative, check_positive
@@ -103,7 +103,7 @@ class RecoveryPolicy(abc.ABC):
         return self.name
 
 
-@register_recovery(
+@RECOVERIES.register(
     "checkpoint_restart",
     description="roll back to the last checkpoint, restart on the full cluster",
 )
@@ -133,7 +133,7 @@ class CheckpointRestart(RecoveryPolicy):
         )
 
 
-@register_recovery(
+@RECOVERIES.register(
     "elastic",
     description="drop the failed node and replan remaining work on the survivors",
 )
@@ -163,7 +163,7 @@ def as_policy(recovery: "RecoveryPolicy | str", **kwargs: Any) -> RecoveryPolicy
         if kwargs:
             raise ValueError("recovery kwargs only apply when passing a policy name")
         return recovery
-    return get_recovery(recovery).obj(**kwargs)
+    return RECOVERIES.get(recovery).obj(**kwargs)
 
 
 def scale_session(session: "Session", num_nodes: int) -> "Session":

@@ -6,10 +6,10 @@ models, datasets, perturbation configs — with ``zip``/``where``/``derived``
 support so grids need not be full cross-products), a pluggable backend
 registry executes its points (``serial`` in-process, ``process`` via
 ``multiprocessing``, ``cluster`` over slurm/sge-style batch systems — see
-:mod:`repro.exec.cluster`; register more with
-:func:`~repro.registry.register_backend`), a content-hash result cache under
-``.repro_cache/`` short-circuits already-simulated points, and everything
-lands in a :class:`SweepResult` with per-point results and execution meta.
+:mod:`repro.exec.cluster`; register more with ``@BACKENDS.register`` from
+:mod:`repro.registry`), a content-hash result cache under ``.repro_cache/``
+short-circuits already-simulated points, and everything lands in a
+:class:`SweepResult` with per-point results and execution meta.
 
 Quickstart::
 

@@ -1,12 +1,12 @@
 """Pluggable sweep execution backends.
 
 A backend maps a list of point payloads to a list of result dicts, in order.
-Backends register with ``@register_backend`` and are selected by name (CLI
+Backends register with ``@BACKENDS.register`` and are selected by name (CLI
 ``--backend``/``--jobs``), so new execution substrates (a thread pool, a job
 queue, a remote cluster) plug in without touching the sweep driver:
 
 1. Subclass :class:`ExecutionBackend` and implement ``map(payloads, worker)``.
-2. Decorate it with ``@register_backend("my_backend", description="...")``.
+2. Decorate it with ``@BACKENDS.register("my_backend", description="...")``.
 3. Import the module (or add it to ``_BUILTIN_BACKEND_MODULES`` in
    :mod:`repro.registry` for lazy discovery).
 """
@@ -18,7 +18,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.exec.worker import execute_payload
 from repro.obs.core import TELEMETRY_OFF, Telemetry
-from repro.registry import register_backend
+from repro.registry import BACKENDS
 
 Payload = Mapping[str, Any]
 Worker = Callable[[Payload], dict]
@@ -60,9 +60,7 @@ class ExecutionBackend:
         return {}
 
 
-@register_backend(
-    "serial", description="in-process sequential execution (default)"
-)
+@BACKENDS.register("serial", description="in-process sequential execution (default)")
 class SerialBackend(ExecutionBackend):
     """Run every point sequentially in the calling process."""
 
@@ -72,7 +70,7 @@ class SerialBackend(ExecutionBackend):
         return [worker(payload) for payload in payloads]
 
 
-@register_backend(
+@BACKENDS.register(
     "process", description="parallel execution via a multiprocessing pool (--jobs N)"
 )
 class ProcessBackend(ExecutionBackend):

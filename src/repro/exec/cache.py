@@ -32,16 +32,10 @@ CACHE_SCHEMA_VERSION = 1
 
 
 def cache_salt() -> str:
-    """Code-version salt mixed into every cache key.
-
-    Includes the resolved default remapping solver: ``REPRO_REMAP_SOLVER``
-    can change simulated placements, so flipping it must never surface a
-    result cached under the other solver.
-    """
+    """Code-version salt mixed into every cache key."""
     import repro
-    from repro.config import remap_solver
 
-    return f"{repro.__version__}/{CACHE_SCHEMA_VERSION}/remap={remap_solver()}"
+    return f"{repro.__version__}/{CACHE_SCHEMA_VERSION}"
 
 
 def point_key(point: SweepPoint, salt: str | None = None) -> str:

@@ -10,13 +10,13 @@ points cache hits — so later, larger rounds are no slower than early ones.
 Layers:
 
 * :mod:`repro.exec.cluster.jobfile` — versioned job/result file (de)serialisation.
-* :mod:`repro.exec.cluster.submitters` — the ``@register_submitter`` registry
+* :mod:`repro.exec.cluster.submitters` — the ``@SUBMITTERS.register`` plug-ins
   (``slurm``, ``sge``, and a CI-testable ``fake`` local-subprocess submitter)
   plus the shared polling/timeout/resubmission driver.
 * :mod:`repro.exec.cluster.worker` — the batch-node entry point
   (``python -m repro.exec.cluster.worker JOBFILE``).
 * :mod:`repro.exec.cluster.backend` — the ``cluster`` execution backend
-  (``@register_backend("cluster")``) implementing the rounds discipline.
+  (``@BACKENDS.register("cluster")``) implementing the rounds discipline.
 """
 
 from repro.exec.cluster.backend import ClusterBackend

@@ -36,7 +36,7 @@ from repro.config import cache_dir_override
 from repro.exec.backends import ExecutionBackend, Payload, Worker
 from repro.exec.cluster.jobfile import result_path_for, write_jobfile
 from repro.exec.cluster.submitters import ClusterJob, Submitter, run_jobs
-from repro.registry import get_submitter, register_backend
+from repro.registry import BACKENDS, SUBMITTERS
 
 # Worker count divisor between consecutive rounds (partis reduces ~1.6x).
 # Used directly when a round produced no timing signal; otherwise the next
@@ -94,7 +94,7 @@ def _chunks(indices: Sequence[int], jobs: int) -> list[tuple[int, ...]]:
     return out
 
 
-@register_backend(
+@BACKENDS.register(
     "cluster",
     description="batch-system fan-out (slurm/sge/fake) over a shared workdir",
 )
@@ -161,7 +161,7 @@ class ClusterBackend(ExecutionBackend):
     def _make_submitter(self, workdir: Path) -> Submitter:
         if self._submitter is not None:
             return self._submitter
-        cls = get_submitter(self.batch_system).obj
+        cls = SUBMITTERS.get(self.batch_system).obj
         return cls(batch_options=self.batch_options, workdir=workdir)
 
     def map(self, payloads: Sequence[Payload], worker: Worker) -> list[dict]:

@@ -20,10 +20,10 @@ import subprocess
 from typing import Any
 
 from repro.exec.cluster.submitters import ClusterJob, Submitter
-from repro.registry import register_submitter
+from repro.registry import SUBMITTERS
 
 
-@register_submitter(
+@SUBMITTERS.register(
     "pbs", description="submit worker jobs with qsub (PBS/Torque, -- direct mode)"
 )
 class PbsSubmitter(Submitter):

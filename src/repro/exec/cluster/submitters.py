@@ -16,7 +16,7 @@ result file — a job whose process exited without writing a usable result
 file is failed, whatever the scheduler thinks.
 
 New submitters subclass :class:`Submitter`, register with
-``@register_submitter("name")`` and are then selectable via
+``@SUBMITTERS.register("name")`` and are then selectable via
 ``--batch-system name`` (add the module to ``_BUILTIN_SUBMITTER_MODULES``
 in :mod:`repro.registry` for lazy discovery).
 """
@@ -35,7 +35,7 @@ from typing import Any, Callable, Sequence
 from repro.config import worker_environ
 from repro.exec.cluster.jobfile import read_results
 from repro.obs.core import TELEMETRY_OFF, Telemetry
-from repro.registry import register_submitter
+from repro.registry import SUBMITTERS
 
 
 def worker_command(
@@ -111,7 +111,7 @@ class Submitter:
         """
 
 
-@register_submitter(
+@SUBMITTERS.register(
     "slurm", description="submit worker jobs with sbatch (--batch-options extras)"
 )
 class SlurmSubmitter(Submitter):
@@ -149,7 +149,7 @@ class SlurmSubmitter(Submitter):
             pass
 
 
-@register_submitter(
+@SUBMITTERS.register(
     "sge", description="submit worker jobs with qsub (--batch-options extras)"
 )
 class SgeSubmitter(Submitter):
@@ -201,7 +201,7 @@ class _FakeHandle:
         self.cancelled = False
 
 
-@register_submitter(
+@SUBMITTERS.register(
     "fake",
     description="run worker jobs in local subprocesses (testing / single host)",
 )

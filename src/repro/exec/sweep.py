@@ -33,7 +33,7 @@ from repro.exec.result import SweepResult
 from repro.exec.spec import SweepSpec
 from repro.exec.worker import SessionPool
 from repro.obs.core import TELEMETRY_OFF, Telemetry, as_telemetry
-from repro.registry import get_backend
+from repro.registry import BACKENDS
 from repro.results import result_from_dict
 
 
@@ -60,7 +60,7 @@ def resolve_backend(
         return backend
     if backend is None:
         backend = "process" if jobs > 1 else "serial"
-    return get_backend(backend).obj(jobs=jobs, **dict(options or {}))
+    return BACKENDS.get(backend).obj(jobs=jobs, **dict(options or {}))
 
 
 def run_sweep(

@@ -14,10 +14,10 @@ import numpy as np
 from repro.data.distributions import FIG1_DISTRIBUTIONS
 from repro.exec import SweepSpec
 from repro.experiments.common import ExperimentResult, print_result
-from repro.registry import register_experiment
+from repro.registry import EXPERIMENTS
 
 
-@register_experiment("fig1", description="Fig. 1 — dataset length histograms")
+@EXPERIMENTS.register("fig1", description="Fig. 1 — dataset length histograms")
 def run(samples_per_dataset: int = 20000, seed: int = 0) -> ExperimentResult:
     """Regenerate the Fig. 1 histograms.
 

@@ -21,7 +21,7 @@ from repro.data.distributions import FIG1_DISTRIBUTIONS, LengthDistribution
 from repro.exec import SweepSpec
 from repro.experiments.common import ExperimentResult, print_result
 from repro.model.spec import get_model
-from repro.registry import register_experiment
+from repro.registry import EXPERIMENTS
 
 _TOTAL_CONTEXT = 64 * 1024
 _NUM_GPUS = 16
@@ -91,7 +91,7 @@ _SCHEMES = {
 }
 
 
-@register_experiment(
+@EXPERIMENTS.register(
     "fig3", description="Fig. 3 — packing vs even-split CP attention cost shares"
 )
 def run(datasets: tuple[str, ...] = ("arxiv", "github", "stackexchange", "prolong64")) -> ExperimentResult:

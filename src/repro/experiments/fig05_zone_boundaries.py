@@ -15,7 +15,7 @@ from repro.data.distributions import TABLE2_DISTRIBUTIONS
 from repro.exec import SweepSpec
 from repro.experiments.common import ExperimentResult, print_result
 from repro.model.spec import get_model
-from repro.registry import register_experiment
+from repro.registry import EXPERIMENTS
 
 # The evaluation grid: sequence lengths 1k..64k, zone shares per dataset.
 _GRID = SweepSpec(
@@ -24,7 +24,7 @@ _GRID = SweepSpec(
 _LENGTHS = [point["seq_len"] for point in _GRID]
 
 
-@register_experiment(
+@EXPERIMENTS.register(
     "fig5", description="Fig. 5 — compute/communication cost curves and zone boundaries"
 )
 def run(model: str = "7b") -> ExperimentResult:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.api import DEFAULT_COMPARISON
 from repro.exec import SweepSpec, run_sweep
 from repro.experiments.common import ExperimentResult, print_result
-from repro.registry import register_experiment
+from repro.registry import EXPERIMENTS
 
 _STRATEGIES = DEFAULT_COMPARISON
 
@@ -88,7 +88,7 @@ def grid_spec(
     )
 
 
-@register_experiment(
+@EXPERIMENTS.register(
     "fig8", description="Fig. 8 — end-to-end throughput grid (models x datasets x scales)"
 )
 def run(

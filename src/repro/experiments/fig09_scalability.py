@@ -14,14 +14,14 @@ from __future__ import annotations
 from repro.api import DEFAULT_COMPARISON
 from repro.exec import SweepSpec, run_sweep
 from repro.experiments.common import ExperimentResult, print_result
-from repro.registry import register_experiment
+from repro.registry import EXPERIMENTS
 
 _STRATEGIES = DEFAULT_COMPARISON
 DEFAULT_GPU_COUNTS = (16, 32, 64)
 FULL_GPU_COUNTS = (16, 32, 64, 96, 128)
 
 
-@register_experiment(
+@EXPERIMENTS.register(
     "fig9", description="Fig. 9 — 3B scalability from 16 to 128 GPUs on Cluster A"
 )
 def run(

@@ -14,12 +14,12 @@ from __future__ import annotations
 from repro.api import DEFAULT_COMPARISON
 from repro.exec import SweepSpec, run_sweep
 from repro.experiments.common import ExperimentResult, print_result
-from repro.registry import register_experiment
+from repro.registry import EXPERIMENTS
 
 _STRATEGIES = DEFAULT_COMPARISON
 
 
-@register_experiment(
+@EXPERIMENTS.register(
     "fig10", description="Fig. 10 — Cluster A vs Cluster B speedup comparison"
 )
 def run(

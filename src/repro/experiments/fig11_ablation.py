@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.exec import SweepSpec, run_sweep
 from repro.experiments.common import ExperimentResult, print_result
-from repro.registry import register_experiment
+from repro.registry import EXPERIMENTS
 
 # (label, strategy name, strategy kwargs), in the paper's bar order.
 _CONFIGURATIONS = (
@@ -30,7 +30,7 @@ _CONFIGURATIONS = (
 )
 
 
-@register_experiment(
+@EXPERIMENTS.register(
     "fig11", description="Fig. 11 — component ablation (3B, 32 GPUs, Cluster A)"
 )
 def run(

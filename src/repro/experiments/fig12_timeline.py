@@ -20,7 +20,7 @@ from repro.api import Session
 from repro.data.datasets import single_sequence_batch, uniform_batch
 from repro.exec import SweepSpec
 from repro.experiments.common import ExperimentResult, print_result
-from repro.registry import register_experiment
+from repro.registry import EXPERIMENTS
 from repro.sim.engine import Simulator
 from repro.sim.trace import summarize_trace
 
@@ -46,7 +46,7 @@ _SCENARIOS = SweepSpec(
 )
 
 
-@register_experiment(
+@EXPERIMENTS.register(
     "fig12", description="Fig. 12 — per-round attention timeline analysis"
 )
 def run(total_context: int = 64 * 1024, num_gpus: int = 16) -> ExperimentResult:

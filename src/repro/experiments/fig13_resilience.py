@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.dynamics.models import PerturbationConfig
 from repro.exec import SweepSpec, run_sweep
 from repro.experiments.common import ExperimentResult, print_result
-from repro.registry import register_experiment
+from repro.registry import EXPERIMENTS
 
 DEFAULT_STRATEGIES = ("te_cp", "llama_cp", "zeppelin")
 DEFAULT_RECOVERIES = ("checkpoint_restart", "elastic")
@@ -32,7 +32,7 @@ DEFAULT_RECOVERIES = ("checkpoint_restart", "elastic")
 DEFAULT_MTTF_S = (None, 60.0, 15.0)
 
 
-@register_experiment(
+@EXPERIMENTS.register(
     "fig13_resilience",
     description="Fig. 13 — goodput under node failures, stragglers and recovery policies",
 )

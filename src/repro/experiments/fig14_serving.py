@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro.api import Session
 from repro.experiments.common import ExperimentResult, print_result
-from repro.registry import register_experiment
+from repro.registry import EXPERIMENTS
 from repro.serve.spec import ServeSpec
 
 DEFAULT_CLIENTS = (2, 8, 32, 128)
@@ -33,7 +33,7 @@ DEFAULT_CLIENTS = (2, 8, 32, 128)
 DEFAULT_MIX = {"zeppelin": 2.0, "te_cp": 1.0, "llama_cp": 1.0}
 
 
-@register_experiment(
+@EXPERIMENTS.register(
     "fig14_serving",
     description="Fig. 14 — closed-loop serving knee at a fixed SLO, plus autoscaling",
 )

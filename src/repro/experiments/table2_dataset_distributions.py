@@ -11,10 +11,10 @@ from __future__ import annotations
 from repro.data.distributions import TABLE2_DISTRIBUTIONS
 from repro.exec import SweepSpec
 from repro.experiments.common import ExperimentResult, print_result
-from repro.registry import register_experiment
+from repro.registry import EXPERIMENTS
 
 
-@register_experiment(
+@EXPERIMENTS.register(
     "table2", description="Table 2 — evaluation dataset length distributions"
 )
 def run() -> ExperimentResult:

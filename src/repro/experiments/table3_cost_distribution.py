@@ -16,7 +16,7 @@ from repro.data.datasets import balanced_case_study_batch, skewed_case_study_bat
 from repro.exec import SweepSpec
 from repro.experiments.common import ExperimentResult, print_result
 from repro.obs.core import current_telemetry
-from repro.registry import register_experiment
+from repro.registry import EXPERIMENTS
 from repro.sim.engine import Simulator
 
 
@@ -56,7 +56,7 @@ def _component_ranges(strategy, batch, num_layers: int) -> dict[str, tuple[float
     }
 
 
-@register_experiment(
+@EXPERIMENTS.register(
     "table3", description="Table 3 — per-component cost ranges across ranks"
 )
 def run(num_gpus: int = 32, total_context: int = 128 * 1024, seed: int = 0) -> ExperimentResult:

@@ -20,8 +20,8 @@ cache hit rate) come back as a frozen :class:`~repro.results.ServeResult`.
 
 Entry points: :meth:`repro.api.Session.serve` and the ``repro serve`` CLI
 subcommand.  Arrival processes, admission policies and scale policies are
-registry-driven (``@register_arrival`` / ``@register_admission`` /
-``@register_scale``) and listed by ``repro list``.
+registry-driven (``@ARRIVALS.register`` / ``@ADMISSIONS.register`` /
+``@SCALES.register``) and listed by ``repro list``.
 """
 
 from repro.serve.arrivals import (

@@ -20,9 +20,9 @@ Three built-ins register with :mod:`repro.registry`:
   every draw still comes from per-client seeded streams, so a run is a pure
   function of (process config, mix, duration, seed).
 
-New processes plug in with ``@register_admission``'s sibling decorator::
+New processes plug in through the ``ARRIVALS`` registry::
 
-    @register_arrival("my_arrivals", description="...")
+    @ARRIVALS.register("my_arrivals", description="...")
     class MyArrivals(ArrivalProcess):
         def arrival_times(self, duration_s, rng):
             ...
@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.registry import get_arrival, register_arrival
+from repro.registry import ARRIVALS
 
 # Session-field overrides a cell may carry, beyond the strategy itself.
 # (Mirrors repro.exec.spec.SESSION_FIELDS minus the seed, which belongs to
@@ -224,7 +224,7 @@ class ArrivalProcess:
         )
 
 
-@register_arrival(
+@ARRIVALS.register(
     "poisson", description="open-loop Poisson arrivals at a mean rate (req/s)"
 )
 class PoissonArrivals(ArrivalProcess):
@@ -277,7 +277,7 @@ class ClosedLoopClient:
         )
 
 
-@register_arrival(
+@ARRIVALS.register(
     "closed",
     description="closed-loop client pool: N users re-issue after a think time",
 )
@@ -323,7 +323,7 @@ class ClosedLoopArrivals(ArrivalProcess):
         ]
 
 
-@register_arrival(
+@ARRIVALS.register(
     "trace", description="replay explicit arrival timestamps (optionally tiled)"
 )
 class TraceArrivals(ArrivalProcess):
@@ -390,4 +390,4 @@ def as_arrival(
         return TraceArrivals(trace_times, period=trace_period)
     if arrival == "closed":
         return ClosedLoopArrivals(clients=clients, think_time_s=think_time_s)
-    return get_arrival(arrival).obj()
+    return ARRIVALS.get(arrival).obj()

@@ -32,7 +32,7 @@ from repro.api import Session
 from repro.exec.spec import SweepPoint
 from repro.exec.worker import SessionPool, execute_payload
 from repro.obs.core import TELEMETRY_OFF, Telemetry
-from repro.registry import get_strategy
+from repro.registry import STRATEGIES
 from repro.serve.arrivals import Request, RequestCell
 from repro.serve.queue import RequestQueue
 
@@ -119,7 +119,7 @@ class Batcher:
         """The cell's point and result-cache key at the current capacity."""
         entry = self._points.get((self._config_key, cell))
         if entry is None:
-            get_strategy(cell.strategy)
+            STRATEGIES.get(cell.strategy)
             values = {
                 **self._config_dict,
                 **cell.override_dict(),

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 from pathlib import Path
-from typing import Any
 
 from repro.api import DEFAULT_COMPARISON, Session
 from repro.dynamics.recovery import scale_session
@@ -41,30 +40,20 @@ _INF = float("inf")
 class ServeSimulation:
     """One serving run over a :class:`~repro.api.Session`.
 
-    Built from a :class:`ServeSpec` (the primary form) or from the legacy
-    keyword knobs, which are packaged into a spec internally.  After
-    :meth:`run`, :attr:`requests` holds every request with its
-    arrival/start/finish stamps and :attr:`executions` the dispatched
-    batches — the raw material tests and tools can audit (no request starts
-    before it arrives, concurrent executions never exceed the limit...).
+    Built from a :class:`ServeSpec`.  After :meth:`run`, :attr:`requests`
+    holds every request with its arrival/start/finish stamps and
+    :attr:`executions` the dispatched batches — the raw material tests and
+    tools can audit (no request starts before it arrives, concurrent
+    executions never exceed the limit...).
     """
 
     def __init__(
         self,
         session: Session,
-        mix: Any = None,
+        spec: ServeSpec,
         *,
-        spec: ServeSpec | None = None,
         telemetry: "Telemetry | str | Path | None" = None,
-        **knobs: Any,
     ):
-        if spec is not None:
-            if mix is not None or knobs:
-                raise ValueError(
-                    "pass either a ServeSpec or individual knobs, not both"
-                )
-        else:
-            spec = ServeSpec(mix=mix, **knobs)
         self.spec = spec
         self.session = session
         # Telemetry is observational, never part of the spec identity.
@@ -415,22 +404,14 @@ class ServeSimulation:
 
 def run_serve(
     session: Session,
-    mix: Any = None,
+    spec: ServeSpec,
     *,
-    spec: ServeSpec | None = None,
-    **knobs: Any,
+    telemetry: "Telemetry | str | Path | None" = None,
 ) -> ServeResult:
-    """Run one serving workload and return its metrics.
+    """Run one serving workload, described by ``spec``, and return its metrics.
 
-    ``spec`` (a :class:`ServeSpec`) is the primary form; the keyword knobs
-    (``rate``, ``duration_s``, ``arrival``, ``admission``, ``concurrency``,
-    ``max_batch``, ``cache``, ``slo_s``, ``coalesce_s``,
-    ``clients``/``think_time_s`` for ``arrival="closed"``,
-    ``scale_policy``/``min_gpus``/``max_gpus`` for autoscaling, and
-    ``trace_times``/``trace_period`` for ``arrival="trace"``) are a shim
-    that builds the same spec.  ``telemetry`` — a hub or JSONL path
-    receiving request enqueue/dispatch/complete/shed and scale events — is
-    purely observational: results are byte-identical with telemetry on or
-    off.
+    ``telemetry`` — a hub or JSONL path receiving request
+    enqueue/dispatch/complete/shed and scale events — is purely
+    observational: results are byte-identical with telemetry on or off.
     """
-    return ServeSimulation(session, mix, spec=spec, **knobs).run()
+    return ServeSimulation(session, spec, telemetry=telemetry).run()

@@ -28,7 +28,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.registry import get_admission, register_admission
+from repro.registry import ADMISSIONS
 from repro.serve.arrivals import Request, RequestCell
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -128,7 +128,7 @@ class AdmissionPolicy:
         return True
 
 
-@register_admission("fifo", description="first-in, first-out admission (default)")
+@ADMISSIONS.register("fifo", description="first-in, first-out admission (default)")
 class FifoAdmission(AdmissionPolicy):
     """Serve requests strictly in arrival order."""
 
@@ -138,7 +138,7 @@ class FifoAdmission(AdmissionPolicy):
         return (request.arrival_s, request.rid)
 
 
-@register_admission(
+@ADMISSIONS.register(
     "priority", description="higher-priority cells first, FIFO within a class"
 )
 class PriorityAdmission(AdmissionPolicy):
@@ -150,7 +150,7 @@ class PriorityAdmission(AdmissionPolicy):
         return (-request.priority, request.arrival_s, request.rid)
 
 
-@register_admission(
+@ADMISSIONS.register(
     "slo_aware",
     description="shed requests predicted to miss the SLO; least slack first",
 )
@@ -203,7 +203,7 @@ def as_admission(admission: "str | AdmissionPolicy | None") -> AdmissionPolicy:
     if admission is None:
         return FifoAdmission()
     if isinstance(admission, str):
-        return get_admission(admission).obj()
+        return ADMISSIONS.get(admission).obj()
     return admission
 
 

@@ -9,7 +9,7 @@ shrinking replans every strategy onto the resized cluster through derived
 sessions, exactly like an ``elastic`` recovery shrink, so repeated visits to
 a capacity level reuse cached plans.
 
-Policies register with ``@register_scale`` (and are listed by ``repro
+Policies register with ``@SCALES.register`` (and are listed by ``repro
 list``); the built-in ``queue_depth`` policy adds a node while the queue
 stays above its high watermark and removes one when the system is draining
 below its low watermark, with a cooldown between steps.  Everything runs in
@@ -19,9 +19,9 @@ virtual time, so scaling decisions are deterministic per seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from repro.registry import get_scale, register_scale
+from repro.registry import SCALES
 from repro.utils.validation import check_non_negative, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -77,7 +77,7 @@ class ScalePolicy:
         raise NotImplementedError
 
 
-@register_scale(
+@SCALES.register(
     "queue_depth",
     description="grow on a deep queue, shrink when idle (watermarks + cooldown)",
 )
@@ -124,7 +124,7 @@ def as_scale_policy(policy: "str | ScalePolicy | None") -> ScalePolicy | None:
     """Normalise the ``scale_policy`` argument of the serve driver."""
     if policy is None or isinstance(policy, ScalePolicy):
         return policy
-    instance = get_scale(policy).obj()
+    instance = SCALES.get(policy).obj()
     if instance.name == ScalePolicy.name:
         # A registered policy that never set ``name`` still reports its
         # registry key in ServeResult.scale_policy.

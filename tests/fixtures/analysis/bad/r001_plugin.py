@@ -1,8 +1,8 @@
 """Known-bad fixture for R001: registers a name the table does not list."""
 
-from repro.registry import register_submitter
+from repro.registry import SUBMITTERS
 
 
-@register_submitter("ghost")
+@SUBMITTERS.register("ghost")
 class GhostSubmitter:
     """A submitter lazy lookup can never find."""

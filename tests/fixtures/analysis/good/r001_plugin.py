@@ -1,8 +1,8 @@
 """Known-good fixture for R001: registered and listed, in agreement."""
 
-from repro.registry import register_submitter
+from repro.registry import SUBMITTERS
 
 
-@register_submitter("widget")
+@SUBMITTERS.register("widget")
 class WidgetSubmitter:
     """A submitter the table lists under this module."""

@@ -10,7 +10,7 @@ import pytest
 from repro.analysis import AnalysisUsageError, analyze_paths
 from repro.analysis.driver import execute
 from repro.analysis.model import SourceFile, module_name_for
-from repro.registry import available_rules
+from repro.registry import RULES
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "analysis"
 BAD = FIXTURES / "bad"
@@ -54,6 +54,64 @@ class TestRuleFixtures:
         assert report.clean, [f.render() for f in report.findings]
 
 
+# A registry table plus a plugin registering "ghost" on it in three ways the
+# R001 reader must resolve: an aliased import, the call (not decorator) form,
+# and the registry reached through its module.
+R001_TABLE = (
+    "from repro.registry import Registry\n\n"
+    "_BUILTIN_SUBMITTER_MODULES = {{{entries}}}\n\n"
+    'SUBMITTERS = Registry("batch submitter", _BUILTIN_SUBMITTER_MODULES)\n'
+)
+R001_PLUGINS = {
+    "aliased-import": (
+        "from repro.registry import SUBMITTERS as subs\n\n\n"
+        '@subs.register("ghost")\n'
+        "class Ghost:\n"
+        "    pass\n"
+    ),
+    "call-form": (
+        "from repro.registry import SUBMITTERS\n\n\n"
+        "class Ghost:\n"
+        "    pass\n\n\n"
+        'SUBMITTERS.register("ghost")(Ghost)\n'
+    ),
+    "module-attribute": (
+        "from repro import registry\n\n\n"
+        '@registry.SUBMITTERS.register("ghost")\n'
+        "class Ghost:\n"
+        "    pass\n"
+    ),
+}
+
+
+class TestRegistrationSites:
+    def _analyze(self, tmp_path, plugin, listed):
+        entries = '"ghost": "plugin"' if listed else ""
+        (tmp_path / "table.py").write_text(R001_TABLE.format(entries=entries))
+        (tmp_path / "plugin.py").write_text(R001_PLUGINS[plugin])
+        return analyze_paths([tmp_path], rules=["R001"])
+
+    @pytest.mark.parametrize("plugin", sorted(R001_PLUGINS))
+    def test_unlisted_registration_flagged(self, tmp_path, plugin):
+        report = self._analyze(tmp_path, plugin, listed=False)
+        assert [f.rule for f in report.findings] == ["R001"]
+        assert "'ghost'" in report.findings[0].message
+        assert report.findings[0].path.endswith("plugin.py")
+
+    @pytest.mark.parametrize("plugin", sorted(R001_PLUGINS))
+    def test_listed_registration_clean(self, tmp_path, plugin):
+        report = self._analyze(tmp_path, plugin, listed=True)
+        assert report.clean, [f.render() for f in report.findings]
+
+    def test_register_on_other_objects_ignored(self, tmp_path):
+        (tmp_path / "table.py").write_text(R001_TABLE.format(entries=""))
+        (tmp_path / "plugin.py").write_text(
+            "import atexit\n\n"
+            'atexit.register("ghost")\n'
+        )
+        assert analyze_paths([tmp_path], rules=["R001"]).clean
+
+
 class TestSuppression:
     def test_pragma_suppresses_on_its_line(self):
         report = analyze_paths([GOOD / "suppressed.py"], rules=["D001"])
@@ -92,7 +150,7 @@ class TestDriverSurface:
         assert doc["version"] == 1
         assert doc["clean"] is False
         assert doc["files_checked"] == 1
-        assert set(doc["rules"]) == {r.upper() for r in available_rules()}
+        assert set(doc["rules"]) == {r.upper() for r in RULES.names()}
         for finding in doc["findings"]:
             assert set(finding) == {"rule", "path", "line", "col", "message"}
             assert isinstance(finding["line"], int) and finding["line"] > 0

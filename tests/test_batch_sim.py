@@ -475,7 +475,7 @@ class TestStrategyEquivalence:
         return Session(model="3b", num_gpus=16, total_context=32 * 1024, num_steps=1)
 
     def test_all_registered_strategies_bit_identical(self, session):
-        from repro.registry import available_strategies
+        from repro.registry import STRATEGIES
 
         event_sets = [
             (),
@@ -486,7 +486,7 @@ class TestStrategyEquivalence:
             ),
         ]
         sim = Simulator()
-        for name in available_strategies():
+        for name in STRATEGIES.names():
             strategy = session.strategy(name)
             for phase in ("forward", "backward"):
                 plan = strategy.plan_layer(batch=session.batches[0], phase=phase)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import CONFIG_ERROR_EXIT_CODE, build_parser, main
-from repro.registry import available_experiments, get_experiment
+from repro.registry import EXPERIMENTS
 
 
 class TestParser:
@@ -42,8 +42,8 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_every_experiment_is_registered_with_a_runner(self):
-        for name in available_experiments():
-            entry = get_experiment(name)
+        for name in EXPERIMENTS.names():
+            entry = EXPERIMENTS.get(name)
             assert callable(entry.obj)
             assert entry.description
 

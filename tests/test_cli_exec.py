@@ -6,7 +6,7 @@ import re
 import pytest
 
 from repro.cli import CONFIG_ERROR_EXIT_CODE, build_parser, main
-from repro.registry import register_experiment, unregister_experiment
+from repro.registry import EXPERIMENTS
 
 
 class TestSweepParser:
@@ -104,7 +104,7 @@ class TestExperimentExecutionFlags:
     def recording(self):
         calls = []
 
-        @register_experiment("_cli_exec_probe", description="probe")
+        @EXPERIMENTS.register("_cli_exec_probe", description="probe")
         def probe(seed: int = 0, backend=None, jobs: int = 1, use_cache: bool = False):
             from repro.experiments.common import ExperimentResult
 
@@ -115,7 +115,7 @@ class TestExperimentExecutionFlags:
             )
 
         yield calls
-        unregister_experiment("_cli_exec_probe")
+        EXPERIMENTS.unregister("_cli_exec_probe")
 
     def test_flags_forwarded(self, recording, capsys):
         code = main(
@@ -246,7 +246,7 @@ class TestClusterCliFlags:
 
         calls = []
 
-        @register_experiment("_cli_cluster_probe", description="probe")
+        @EXPERIMENTS.register("_cli_cluster_probe", description="probe")
         def probe(seed: int = 0, backend=None, jobs: int = 1,
                   use_cache: bool = False):
             from repro.experiments.common import ExperimentResult
@@ -260,7 +260,7 @@ class TestClusterCliFlags:
             code = main(["experiment", "_cli_cluster_probe",
                          "--batch-system", "fake", "--jobs", "3"])
         finally:
-            unregister_experiment("_cli_cluster_probe")
+            EXPERIMENTS.unregister("_cli_cluster_probe")
         assert code == 0
         (backend,) = calls
         assert isinstance(backend, ClusterBackend)

@@ -27,7 +27,7 @@ from repro.exec.cluster import (
 from repro.exec.cluster.pbs import PbsSubmitter
 from repro.exec.cluster.worker import run_jobfile
 from repro.exec.worker import execute_payload
-from repro.registry import available_backends, available_submitters, get_submitter
+from repro.registry import BACKENDS, SUBMITTERS
 
 SMALL_BASE = {"model": "3b", "num_gpus": 16, "total_context": 16 * 1024, "num_steps": 1}
 
@@ -149,13 +149,13 @@ class TestWorker:
 
 class TestSubmitterRegistry:
     def test_builtin_submitters_listed(self):
-        assert set(available_submitters()) >= {"slurm", "sge", "fake", "pbs"}
-        assert get_submitter("slurm").obj is SlurmSubmitter
-        assert get_submitter("pbs").obj is PbsSubmitter
-        assert get_submitter("fake").description
+        assert set(SUBMITTERS.names()) >= {"slurm", "sge", "fake", "pbs"}
+        assert SUBMITTERS.get("slurm").obj is SlurmSubmitter
+        assert SUBMITTERS.get("pbs").obj is PbsSubmitter
+        assert SUBMITTERS.get("fake").description
 
     def test_cluster_backend_registered(self):
-        assert "cluster" in available_backends()
+        assert "cluster" in BACKENDS.names()
 
 
 class _RecordingMixin:

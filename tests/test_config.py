@@ -1,10 +1,7 @@
 """Tests for repro.config — the sanctioned environment-access chokepoint."""
 
-import pytest
-
 from repro import config
-from repro.core.remapping import RemappingLayer
-from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache, cache_salt
+from repro.exec.cache import DEFAULT_CACHE_DIR, ResultCache
 
 
 class TestEnvStr:
@@ -36,39 +33,6 @@ class TestCacheDir:
     def test_result_cache_honours_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert ResultCache().root == tmp_path / "cache"
-
-
-class TestRemapSolver:
-    def test_default_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REMAP_SOLVER", raising=False)
-        assert config.remap_solver() == "auto"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REMAP_SOLVER", "greedy")
-        assert config.remap_solver() == "greedy"
-
-    def test_invalid_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REMAP_SOLVER", "gurobi")
-        with pytest.raises(ValueError, match="REPRO_REMAP_SOLVER"):
-            config.remap_solver()
-
-    def test_remapping_layer_resolves_default(self, monkeypatch, cluster_a2):
-        monkeypatch.setenv("REPRO_REMAP_SOLVER", "greedy")
-        assert RemappingLayer(cluster=cluster_a2).solver == "greedy"
-        monkeypatch.delenv("REPRO_REMAP_SOLVER")
-        assert RemappingLayer(cluster=cluster_a2).solver == "auto"
-
-    def test_explicit_solver_wins_over_env(self, monkeypatch, cluster_a2):
-        monkeypatch.setenv("REPRO_REMAP_SOLVER", "greedy")
-        assert RemappingLayer(cluster=cluster_a2, solver="linprog").solver == (
-            "linprog"
-        )
-
-    def test_cache_salt_folds_in_solver(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REMAP_SOLVER", raising=False)
-        assert "remap=auto" in cache_salt()
-        monkeypatch.setenv("REPRO_REMAP_SOLVER", "greedy")
-        assert "remap=greedy" in cache_salt()
 
 
 class TestWorkerEnviron:

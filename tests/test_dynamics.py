@@ -19,7 +19,7 @@ from repro.dynamics.recovery import (
     as_policy,
     run_resilient,
 )
-from repro.registry import available_recoveries, get_recovery
+from repro.registry import RECOVERIES
 from repro.results import ResilienceResult
 
 
@@ -185,9 +185,9 @@ class TestPerturbationSchedule:
 
 class TestRecoveryPolicies:
     def test_registry_exposes_builtin_policies(self):
-        assert "checkpoint_restart" in available_recoveries()
-        assert "elastic" in available_recoveries()
-        assert get_recovery("checkpoint_restart").obj is CheckpointRestart
+        assert "checkpoint_restart" in RECOVERIES.names()
+        assert "elastic" in RECOVERIES.names()
+        assert RECOVERIES.get("checkpoint_restart").obj is CheckpointRestart
 
     def test_as_policy_resolves_names_and_instances(self):
         policy = as_policy("elastic")

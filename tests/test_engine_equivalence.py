@@ -129,7 +129,7 @@ class TestStrategyEquivalence:
 
     def test_all_registered_strategies_bit_identical(self, session):
         from repro.dynamics.models import PerturbationConfig, PerturbationModel
-        from repro.registry import available_strategies
+        from repro.registry import STRATEGIES
 
         schedule = PerturbationModel(
             PerturbationConfig(
@@ -147,7 +147,7 @@ class TestStrategyEquivalence:
                 ResourceEvent(0.006, ("compute:3",), 1.0),
             ],
         ]
-        for name in available_strategies():
+        for name in STRATEGIES.names():
             strategy = session.strategy(name)
             for phase in ("forward", "backward"):
                 plan = strategy.plan_layer(batch=session.batches[0], phase=phase)

@@ -16,7 +16,7 @@ from repro.exec import (
     resolve_backend,
     run_sweep,
 )
-from repro.registry import available_backends, get_backend, get_experiment
+from repro.registry import BACKENDS, EXPERIMENTS
 from repro.results import ResilienceResult, RunResult, result_from_dict
 
 # A grid small enough for the suite: 1-node cluster cells simulate in ~100ms.
@@ -113,8 +113,8 @@ class TestSweepPoint:
 
 class TestBackendsRegistry:
     def test_builtin_backends_listed(self):
-        assert set(available_backends()) >= {"serial", "process"}
-        assert get_backend("serial").description
+        assert set(BACKENDS.names()) >= {"serial", "process"}
+        assert BACKENDS.get("serial").description
 
     def test_resolve_backend_picks_by_jobs(self):
         assert resolve_backend(None, jobs=1).name == "serial"
@@ -389,9 +389,9 @@ class TestResultFromDict:
 
 class TestExperimentAliases:
     def test_module_basename_resolves(self):
-        assert get_experiment("fig09_scalability").name == "fig9"
-        assert get_experiment("fig9").name == "fig9"
-        assert get_experiment("table2_dataset_distributions").name == "table2"
+        assert EXPERIMENTS.get("fig09_scalability").name == "fig9"
+        assert EXPERIMENTS.get("fig9").name == "fig9"
+        assert EXPERIMENTS.get("table2_dataset_distributions").name == "table2"
 
 
 class TestSessionSweepIntegration:

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import pytest
 
+from repro import registry
 from repro.api import Session
-from repro.registry import get_strategy
 
 GOLDENS = Path(__file__).parent / "fixtures" / "plan_goldens.json"
 
@@ -82,7 +82,7 @@ def case_digests(session_name: str, label: str) -> dict[str, str]:
     """Both phases' digests of one (session, strategy) case, cold planner."""
     session = _session(session_name)
     name, kwargs = STRATEGIES[label]
-    strategy = get_strategy(name).obj(session.context, **kwargs)
+    strategy = registry.STRATEGIES.get(name).obj(session.context, **kwargs)
     batch = session.batches[0]
     return {
         f"{session_name}/{label}/{phase}": plan_digest(

@@ -236,7 +236,9 @@ class TestMetrics:
 
 class TestServeSimulation:
     def test_no_request_starts_before_arrival_and_all_complete(self):
-        sim = ServeSimulation(tiny_session(), MIX, rate=30.0, duration_s=5.0)
+        sim = ServeSimulation(
+            tiny_session(), ServeSpec(mix=MIX, rate=30.0, duration_s=5.0)
+        )
         result = sim.run()
         assert result.completed == result.num_requests == len(sim.requests)
         for request in sim.requests:
@@ -248,12 +250,14 @@ class TestServeSimulation:
         # A large cache-hit cost keeps executions long so the limit binds.
         sim = ServeSimulation(
             tiny_session(),
-            MIX,
-            rate=40.0,
-            duration_s=4.0,
-            concurrency=2,
-            max_batch=1,
-            cache_hit_cost_s=0.2,
+            ServeSpec(
+                mix=MIX,
+                rate=40.0,
+                duration_s=4.0,
+                concurrency=2,
+                max_batch=1,
+                cache_hit_cost_s=0.2,
+            ),
         )
         sim.run()
         events = []
@@ -271,12 +275,14 @@ class TestServeSimulation:
     def test_batcher_coalesces_same_cell_requests(self):
         sim = ServeSimulation(
             tiny_session(),
-            {"zeppelin": 1.0},
-            rate=50.0,
-            duration_s=4.0,
-            concurrency=1,
-            cache=False,
-            max_batch=8,
+            ServeSpec(
+                mix={"zeppelin": 1.0},
+                rate=50.0,
+                duration_s=4.0,
+                concurrency=1,
+                cache=False,
+                max_batch=8,
+            ),
         )
         result = sim.run()
         sizes = [batch.size for batch in sim.executions]
@@ -292,13 +298,15 @@ class TestServeSimulation:
         )
         sim = ServeSimulation(
             tiny_session(),
-            mix,
-            rate=40.0,
-            duration_s=3.0,
-            admission="priority",
-            concurrency=1,
-            max_batch=1,
-            cache_hit_cost_s=0.15,
+            ServeSpec(
+                mix=mix,
+                rate=40.0,
+                duration_s=3.0,
+                admission="priority",
+                concurrency=1,
+                max_batch=1,
+                cache_hit_cost_s=0.15,
+            ),
         )
         sim.run()
         for batch in sim.executions:
@@ -317,11 +325,13 @@ class TestServeSimulation:
         # virtual finish.
         sim = ServeSimulation(
             tiny_session(),
-            {"zeppelin": 1.0},
-            rate=50.0,
-            duration_s=2.0,
-            concurrency=4,
-            max_batch=1,
+            ServeSpec(
+                mix={"zeppelin": 1.0},
+                rate=50.0,
+                duration_s=2.0,
+                concurrency=4,
+                max_batch=1,
+            ),
         )
         sim.run()
         first = sim.executions[0]
@@ -337,10 +347,10 @@ class TestServeSimulation:
 
     def test_warm_cache_executes_fewer_simulations_than_cold(self):
         warm = ServeSimulation(
-            tiny_session(), MIX, rate=25.0, duration_s=6.0, cache=True
+            tiny_session(), ServeSpec(mix=MIX, rate=25.0, duration_s=6.0, cache=True)
         ).run()
         cold = ServeSimulation(
-            tiny_session(), MIX, rate=25.0, duration_s=6.0, cache=False
+            tiny_session(), ServeSpec(mix=MIX, rate=25.0, duration_s=6.0, cache=False)
         ).run()
         # Same schedule either way; the cache collapses repeated cells to one
         # simulation each while the cold run pays per batch.
@@ -389,16 +399,18 @@ class TestServeSimulation:
 
     def test_unknown_strategy_fails_before_simulating(self):
         with pytest.raises((ValueError, KeyError)):
-            ServeSimulation(tiny_session(), {"warp_drive": 1.0}, duration_s=1.0)
+            ServeSimulation(
+                tiny_session(), ServeSpec(mix={"warp_drive": 1.0}, duration_s=1.0)
+            )
 
     def test_invalid_knobs_rejected(self):
         session = tiny_session()
         with pytest.raises(ValueError):
-            ServeSimulation(session, MIX, duration_s=0.0)
+            ServeSimulation(session, ServeSpec(mix=MIX, duration_s=0.0))
         with pytest.raises(ValueError):
-            ServeSimulation(session, MIX, duration_s=1.0, slo_s=-1.0)
+            ServeSimulation(session, ServeSpec(mix=MIX, duration_s=1.0, slo_s=-1.0))
         with pytest.raises(ValueError):
-            ServeSimulation(session, MIX, duration_s=1.0, max_batch=0)
+            ServeSimulation(session, ServeSpec(mix=MIX, duration_s=1.0, max_batch=0))
 
 
 class TestServeResult:
@@ -537,8 +549,6 @@ class TestServeSpec:
         spec = ServeSpec(duration_s=1.0)
         with pytest.raises(ValueError, match="knobs"):
             tiny_session().serve(spec, rate=5.0)
-        with pytest.raises(ValueError, match="not both"):
-            ServeSimulation(tiny_session(), MIX, spec=spec)
 
     def test_validation_on_construction(self):
         with pytest.raises(ValueError):

@@ -131,11 +131,11 @@ class TestDynamicSimulator:
         """Regression guard: the dynamic path with no perturbations is the
         identity — bit-for-bit equal makespans for every strategy's plans."""
         from repro.api import Session
-        from repro.registry import available_strategies
+        from repro.registry import STRATEGIES
 
         session = Session(model="3b", num_gpus=16, total_context=32 * 1024, num_steps=1)
         batch = session.batches[0]
-        for name in available_strategies():
+        for name in STRATEGIES.names():
             strategy = session.strategy(name)
             for phase in ("forward", "backward"):
                 plan = strategy.plan_layer(batch, phase=phase)

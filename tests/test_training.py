@@ -6,7 +6,7 @@ from repro.api import Session, SessionConfig
 from repro.core.zeppelin import ZeppelinStrategy
 from repro.baselines.te_cp import TransformerEngineCPStrategy
 from repro.data.sampler import Batch
-from repro.registry import get_strategy
+from repro.registry import STRATEGIES
 from repro.training.iteration import simulate_iteration
 from repro.training.throughput import measure_throughput, speedup_table
 
@@ -88,5 +88,5 @@ class TestRunApi:
             session.strategy("fsdp")
 
     def test_registered_strategy_kwargs_forwarded(self, context_3b_16):
-        strategy = get_strategy("zeppelin").obj(context_3b_16, use_routing=False)
+        strategy = STRATEGIES.get("zeppelin").obj(context_3b_16, use_routing=False)
         assert "no routing" in strategy.name
