@@ -10,9 +10,16 @@ ring-pair matrices of that batch with the int64 kernel
 summing the scalar oracle :func:`causal_pairs_between` over every
 (rank, owner, chunk, chunk), and both must give the same counts.  CI runs
 this file in the perf-smoke job and prints the table.
+
+The table also reports the memory a 128-GPU forward plan keeps per task
+(tracemalloc, after the plan is built and again after it is compiled).  That
+row is printed only, with no floor: object sizes differ across Python
+versions.
 """
 
+import gc
 import time
+import tracemalloc
 
 from repro import registry
 from repro.api import Session
@@ -38,6 +45,26 @@ def _plan_seconds(name: str, num_gpus: int) -> tuple[float, int]:
     t0 = time.perf_counter()
     plans = [strategy.plan_layer(batch, phase=p) for p in ("forward", "backward")]
     return time.perf_counter() - t0, sum(p.num_tasks for p in plans)
+
+
+def _bytes_per_task(name: str, num_gpus: int) -> tuple[float, float]:
+    """Traced bytes a cold forward plan keeps per task: plan, plan + compile."""
+    session = Session(num_gpus=num_gpus, num_steps=1, **SESSION)
+    batch = session.batches[0]
+    strategy = registry.STRATEGIES.get(name).obj(session.context)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plan = strategy.plan_layer(batch, phase="forward")
+        gc.collect()
+        plan_bytes = tracemalloc.get_traced_memory()[0] - base
+        plan.compiled()
+        gc.collect()
+        total_bytes = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return plan_bytes / plan.num_tasks, total_bytes / plan.num_tasks
 
 
 def _ring_groups(lengths: list[int]) -> list[RingGroup]:
@@ -101,6 +128,12 @@ def test_bench_planning(benchmark, printed_results):
         lines.append(
             f"  {num_gpus:>5} "
             + " ".join(f"{seconds:>14.3f} {tasks:>7}" for seconds, tasks in cells)
+        )
+    for name in STRATEGIES:
+        plan_b, total_b = _bytes_per_task(name, GPU_COUNTS[-1])
+        lines.append(
+            f"  {name} forward plan at {GPU_COUNTS[-1]} GPUs (tracemalloc): "
+            f"{plan_b:.0f} B/task, {total_b:.0f} B/task with its compiled form"
         )
     lines.append(
         f"  ring-pair matrices (G={KERNEL_GROUP_SIZE}, {len(lengths)} sequences): "

@@ -335,5 +335,4 @@ class HybridDPStrategy(Strategy):
             )
             barrier_deps = [barrier]
 
-        plan.validate()
         return plan

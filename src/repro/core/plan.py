@@ -1,9 +1,12 @@
 """Execution plans: the task graph a strategy emits and the simulator runs.
 
-A plan is a DAG of :class:`Task` objects.  Each task has a fixed duration
-(computed analytically by the strategy from the cost models), a set of
-*resources* it must hold exclusively while running (a GPU compute stream, a NIC
-direction, an NVSwitch port), and dependencies on other tasks.  The
+A plan is a DAG of tasks.  Each task has a fixed duration (computed
+analytically by the strategy from the cost models), a set of *resources* it
+must hold exclusively while running (a GPU compute stream, a NIC direction, an
+NVSwitch port), and dependencies on earlier tasks.  The plan stores its tasks
+as parallel columns (one entry per task id), checks each task as
+:meth:`ExecutionPlan.add` appends it, and materialises read-only :class:`Task`
+rows only when :attr:`ExecutionPlan.tasks` is read.  The
 discrete-event simulator (:mod:`repro.sim.engine`) schedules tasks greedily as
 their dependencies complete and their resources free up, which is exactly how
 overlap between computation and communication arises in the real system's
@@ -23,9 +26,7 @@ the Cluster A "2 GPUs share one NIC" bottleneck.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-
-from repro.utils.validation import check_non_negative
+from dataclasses import dataclass
 
 
 class TaskKind(enum.Enum):
@@ -53,9 +54,9 @@ class TaskKind(enum.Enum):
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Task:
-    """One unit of work in an execution plan.
+    """One unit of work in an execution plan (a read-only row of its columns).
 
     Attributes
     ----------
@@ -89,24 +90,32 @@ class Task:
     rank: int = -1
     priority: int = 0
 
-    def __post_init__(self) -> None:
-        check_non_negative("duration_s", self.duration_s)
-        if self.task_id < 0:
-            raise ValueError("task_id must be non-negative")
 
-
-@dataclass
 class ExecutionPlan:
     """A DAG of tasks describing (part of) one training iteration.
 
     Plans are typically built per transformer layer and per pass direction;
     :mod:`repro.training.iteration` scales the simulated layer time to the full
     model.
+
+    :meth:`add` alone appends to the task columns (one entry per task id),
+    which :mod:`repro.sim.compile` and the engine read directly.
     """
 
-    name: str = "plan"
-    tasks: list[Task] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, name: str = "plan", metadata: dict | None = None) -> None:
+        self.name = name
+        self.metadata = {} if metadata is None else metadata
+        # Resource names interned to dense ids in first-use order.
+        self.resource_index: dict[str, int] = {}
+        self._names: list[str] = []
+        self._kinds: list[TaskKind] = []
+        self._durations: list[float] = []
+        self._resources: list[tuple[int, ...]] = []  # resource ids per task
+        self._deps: list[tuple[int, ...]] = []
+        self._ranks: list[int] = []
+        self._priorities: list[int] = []
+        self._tasks: tuple[Task, ...] | None = None
+        self._compiled = None
 
     def add(
         self,
@@ -118,9 +127,8 @@ class ExecutionPlan:
         rank: int = -1,
         priority: int = 0,
     ) -> int:
-        """Append a task and return its id."""
-        self._compiled = None  # the cached compiled form is now stale
-        task_id = len(self.tasks)
+        """Append a task and return its id; a rejected task changes nothing."""
+        task_id = len(self._names)
         deps = tuple(deps)
         for d in deps:
             if d < 0 or d >= task_id:
@@ -128,19 +136,41 @@ class ExecutionPlan:
                     f"dependency {d} of task {task_id} does not refer to an "
                     f"earlier task"
                 )
-        self.tasks.append(
-            Task(
-                task_id=task_id,
-                name=name,
-                kind=kind,
-                duration_s=duration_s,
-                resources=tuple(resources),
-                deps=deps,
-                rank=rank,
-                priority=priority,
-            )
-        )
+        if duration_s < 0:
+            raise ValueError(f"duration_s must be >= 0, got {duration_s!r}")
+        index = self.resource_index
+        rids = tuple([index.setdefault(r, len(index)) for r in resources])
+        self._resources.append(rids)
+        self._names.append(name)
+        self._kinds.append(kind)
+        self._durations.append(duration_s)
+        self._deps.append(deps)
+        self._ranks.append(rank)
+        self._priorities.append(priority)
+        self._tasks = None
+        self._compiled = None
         return task_id
+
+    @property
+    def tasks(self) -> tuple[Task, ...]:
+        """The tasks as frozen :class:`Task` rows, built on first read and
+        cached until the next :meth:`add`."""
+        if self._tasks is None:
+            names = tuple(self.resource_index)
+            columns = zip(
+                self._names,
+                self._kinds,
+                self._durations,
+                self._resources,
+                self._deps,
+                self._ranks,
+                self._priorities,
+            )
+            self._tasks = tuple(
+                Task(tid, name, kind, duration, tuple([names[r] for r in rids]), *rest)
+                for tid, (name, kind, duration, rids, *rest) in enumerate(columns)
+            )
+        return self._tasks
 
     # -- compiled form ---------------------------------------------------------
 
@@ -149,9 +179,8 @@ class ExecutionPlan:
 
         Built on first use and cached on the plan object, so every simulation
         of a memoised plan (session plan caches, sweep pools, resilience
-        iterations) shares one compile.  Appending tasks via :meth:`add`
-        invalidates the cache; direct ``plan.tasks`` mutation that keeps the
-        task count unchanged is not detected.
+        iterations) shares one compile.  :meth:`add` drops the cache, and it
+        is the only way to change a plan.
         """
         from repro.sim.compile import compile_plan
 
@@ -161,13 +190,13 @@ class ExecutionPlan:
 
     @property
     def num_tasks(self) -> int:
-        return len(self.tasks)
+        return len(self._names)
 
     def total_duration_by_kind(self) -> dict[TaskKind, float]:
         """Sum of task durations grouped by kind (not wall-clock: ignores overlap)."""
         totals: dict[TaskKind, float] = {}
-        for task in self.tasks:
-            totals[task.kind] = totals.get(task.kind, 0.0) + task.duration_s
+        for kind, duration in zip(self._kinds, self._durations):
+            totals[kind] = totals.get(kind, 0.0) + duration
         return totals
 
     def tasks_for_rank(self, rank: int) -> list[Task]:
@@ -180,26 +209,13 @@ class ExecutionPlan:
         Ignores resource contention, so the simulated makespan is always at
         least this value; used as a sanity check in tests.
         """
-        finish: list[float] = [0.0] * len(self.tasks)
-        for task in self.tasks:  # tasks are topologically ordered by construction
-            start = max((finish[d] for d in task.deps), default=0.0)
-            finish[task.task_id] = start + task.duration_s
+        finish: list[float] = []  # deps always point to earlier tasks
+        for deps, duration in zip(self._deps, self._durations):
+            finish.append(max((finish[d] for d in deps), default=0.0) + duration)
         return max(finish, default=0.0)
 
     def validate(self) -> None:
-        """Check structural invariants; raises ``ValueError`` on violation."""
-        seen_ids = set()
-        for i, task in enumerate(self.tasks):
-            if task.task_id != i:
-                raise ValueError(f"task at index {i} has id {task.task_id}")
-            if task.task_id in seen_ids:
-                raise ValueError(f"duplicate task id {task.task_id}")
-            seen_ids.add(task.task_id)
-            for d in task.deps:
-                if d >= task.task_id:
-                    raise ValueError(
-                        f"task {task.task_id} depends on later task {d}"
-                    )
+        """A no-op: :meth:`add` rejects every malformed task as it arrives."""
 
     # -- resource helpers --------------------------------------------------------
 

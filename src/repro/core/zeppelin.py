@@ -147,5 +147,4 @@ class ZeppelinStrategy(Strategy):
         else:
             self.emit_linear(plan, tokens_per_rank, attn_tasks, phase=phase)
 
-        plan.validate()
         return plan

@@ -1,31 +1,31 @@
 """Precompiled plan representation for the discrete-event engine.
 
-An :class:`~repro.core.plan.ExecutionPlan` is a list of task objects holding
-string resource names and per-task dependency tuples — convenient to build,
-slow to simulate: every engine step would hash strings, chase attributes and
-re-derive the dependency fan-out.  :class:`CompiledPlan` lowers the plan once
-into dense integer form:
+An :class:`~repro.core.plan.ExecutionPlan` stores its tasks as columns, with
+resource names already interned to dense ids (``0..num_resources-1``), so the
+engine's busy/speed/alive state is plain array indexing.  :class:`CompiledPlan`
+freezes those columns and adds what the engine needs on top:
 
-* resource names are *interned* to dense ids (``0..num_resources-1``), so the
-  engine's busy/speed/alive state is plain array indexing;
-* each task's resources become a tuple of those ids;
-* the dependent edges (who becomes ready when I finish) are flattened into a
-  CSR-style pair of arrays (``dependents_indptr`` / ``dependents_ids``);
-* the dispatch tie-break key ``(priority, task_id)`` is precomputed per task.
+* the dependent edges (who becomes ready when I finish), flattened into a
+  CSR-style pair of arrays (``dependents_indptr`` / ``dependents_ids``) in
+  one numpy pass;
+* the dispatch tie-break key ``(priority, task_id)`` of every task.
 
-Compilation runs :meth:`ExecutionPlan.validate` once, so the engine itself
-never re-validates.  The result is cached on the plan object (invalidated by
+Compiling checks nothing: :meth:`ExecutionPlan.add` rejected every malformed
+task as it arrived.  The result is cached on the plan object (dropped by
 :meth:`ExecutionPlan.add`); because :class:`repro.api.Session` memoises plans
 per (strategy, batch, phase) and ``repro.exec``'s ``SessionPool`` shares
-sessions across sweep points, one compile is amortised over every re-simulation
-of that plan — warm sweep points and resilience iterations skip straight to
-the hot loop.
+sessions across sweep points, one compile is amortised over every
+re-simulation of that plan — warm sweep points and resilience iterations skip
+straight to the hot loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 from repro.core.plan import ExecutionPlan
 
@@ -96,61 +96,40 @@ class CompiledPlan:
 def compile_plan(plan: ExecutionPlan) -> CompiledPlan:
     """Lower ``plan`` to a :class:`CompiledPlan`, reusing the cached compile.
 
-    The cache lives on the plan object itself (``plan._compiled``); it is
-    dropped whenever :meth:`ExecutionPlan.add` appends a task, and a stale
-    entry from direct ``plan.tasks`` mutation is detected by task count.
-    Callers normally go through :meth:`ExecutionPlan.compiled`.
+    The cache lives on the plan object itself (``plan._compiled``) and is
+    dropped whenever :meth:`ExecutionPlan.add` appends a task.  Callers
+    normally go through :meth:`ExecutionPlan.compiled`.
     """
-    cached = getattr(plan, "_compiled", None)
-    if cached is not None and cached.num_tasks == len(plan.tasks):
-        return cached
-    compiled = _compile(plan)
-    plan._compiled = compiled
+    compiled = plan._compiled
+    if compiled is None:
+        compiled = plan._compiled = _compile(plan)
     return compiled
 
 
 def _compile(plan: ExecutionPlan) -> CompiledPlan:
-    plan.validate()
-    tasks = plan.tasks
-    n = len(tasks)
-
-    resource_index: dict[str, int] = {}
-    task_resources: list[tuple[int, ...]] = []
-    for task in tasks:
-        ids = []
-        for name in task.resources:
-            rid = resource_index.get(name)
-            if rid is None:
-                rid = len(resource_index)
-                resource_index[name] = rid
-            ids.append(rid)
-        task_resources.append(tuple(ids))
-
-    dep_counts = [len(t.deps) for t in tasks]
-    # CSR flatten of the dependent edges: one counting pass, one fill pass.
-    indptr = [0] * (n + 1)
-    for task in tasks:
-        for d in task.deps:
-            indptr[d + 1] += 1
-    for i in range(n):
-        indptr[i + 1] += indptr[i]
-    dependents = [0] * indptr[n]
-    cursor = list(indptr)
-    for task in tasks:
-        for d in task.deps:
-            dependents[cursor[d]] = task.task_id
-            cursor[d] += 1
+    n = plan.num_tasks
+    deps = plan._deps
+    dep_counts = np.fromiter(map(len, deps), dtype=np.int64, count=n)
+    # Edge e runs from sources[e] to targets[e], in increasing target order;
+    # a stable sort by source keeps each task's dependents in id order.
+    sources = np.fromiter(
+        chain.from_iterable(deps), dtype=np.int64, count=int(dep_counts.sum())
+    )
+    targets = np.repeat(np.arange(n, dtype=np.int64), dep_counts)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
+    dependents = targets[np.argsort(sources, kind="stable")]
 
     return CompiledPlan(
         plan=plan,
         num_tasks=n,
-        resource_names=tuple(resource_index),
-        resource_index=resource_index,
-        durations=tuple(t.duration_s for t in tasks),
-        task_resources=tuple(task_resources),
-        dispatch_keys=tuple((t.priority, t.task_id) for t in tasks),
-        dep_counts=tuple(dep_counts),
-        dependents_indptr=tuple(indptr),
-        dependents_ids=tuple(dependents),
-        initial_ready=tuple(t.task_id for t in tasks if not t.deps),
+        resource_names=tuple(plan.resource_index),
+        resource_index=dict(plan.resource_index),
+        durations=tuple(plan._durations),
+        task_resources=tuple(plan._resources),
+        dispatch_keys=tuple(zip(plan._priorities, range(n))),
+        dep_counts=tuple(dep_counts.tolist()),
+        dependents_indptr=tuple(indptr.tolist()),
+        dependents_ids=tuple(dependents.tolist()),
+        initial_ready=tuple(np.flatnonzero(dep_counts == 0).tolist()),
     )

@@ -141,7 +141,7 @@ def _simulate(
     if n == 0:
         return SimulationResult(makespan_s=0.0, trace=trace, plan=cp.plan)
 
-    tasks = cp.plan.tasks
+    names, kinds, ranks = cp.plan._names, cp.plan._kinds, cp.plan._ranks
     num_res = cp.num_resources
     busy = [False] * num_res
     speed = [1.0] * num_res
@@ -279,10 +279,8 @@ def _simulate(
                     candidates.extend(freed)
                     waiters[rid] = []
             if record_trace:
-                task = tasks[tid]
                 trace.record(
-                    tid, task.name, task.kind, task.rank,
-                    start_times[tid], now,
+                    tid, names[tid], kinds[tid], ranks[tid], start_times[tid], now
                 )
             for j in range(dep_indptr[tid], dep_indptr[tid + 1]):
                 dep_tid = dep_ids[j]
@@ -309,9 +307,8 @@ def _simulate(
                             candidates.extend(freed)
                             waiters[rid] = []
                     if record_trace:
-                        task = tasks[tid]
                         trace.record(
-                            tid, task.name, task.kind, task.rank,
+                            tid, names[tid], kinds[tid], ranks[tid],
                             start_times[tid], now, aborted=True,
                         )
             else:

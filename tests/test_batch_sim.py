@@ -317,20 +317,10 @@ class TestScheduleCapture:
 class TestErrorParity:
     def test_deadlock_at_t0_raises(self):
         """Same guard as the engine: a corrupted plan nothing can start."""
-        from repro.core.plan import Task
         from repro.sim.compile import CompiledPlan
 
-        plan = ExecutionPlan(
-            tasks=[
-                Task(
-                    task_id=0,
-                    name="t",
-                    kind=TaskKind.OTHER,
-                    duration_s=1.0,
-                    resources=("r",),
-                )
-            ]
-        )
+        plan = ExecutionPlan()
+        plan.add("t", TaskKind.OTHER, 1.0, ("r",))
         corrupt = CompiledPlan(
             plan=plan,
             num_tasks=1,

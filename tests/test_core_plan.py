@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.plan as plan_module
 from repro.core.plan import ExecutionPlan, TaskKind
 
 
@@ -44,6 +45,37 @@ class TestPlanConstruction:
         plan.add("b", TaskKind.ATTENTION, 1.0, (), rank=5)
         plan.add("c", TaskKind.LINEAR, 1.0, (), rank=3)
         assert [t.name for t in plan.tasks_for_rank(3)] == ["a", "c"]
+
+
+class TestNoTaskObjectsOnTheHotPath:
+    def test_plan_compile_and_simulate_build_no_task(self, monkeypatch):
+        """Planning, compiling and simulating every registered strategy reads
+        the plan's columns; ``Task`` rows exist only once ``plan.tasks`` is
+        read, and then each row is built once."""
+        from repro.api import Session
+        from repro.registry import STRATEGIES
+        from repro.sim.engine import simulate
+
+        built = []
+
+        class CountingTask(plan_module.Task):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(plan_module, "Task", CountingTask)
+        session = Session(model="3b", num_gpus=16, total_context=32 * 1024, num_steps=1)
+        batch = session.batches[0]
+        plans = []
+        for name in STRATEGIES.names():
+            plan = session.strategy(name).plan_layer(batch)
+            simulate(plan.compiled(), record_trace=False)
+            plans.append(plan)
+        assert len(built) == 0
+        for plan in plans:
+            assert plan.tasks is plan.tasks
+            assert all(type(t) is CountingTask for t in plan.tasks)
+        assert len(built) == sum(plan.num_tasks for plan in plans) > 0
 
 
 class TestCriticalPath:

@@ -22,7 +22,7 @@ import random
 
 import pytest
 
-from repro.core.plan import ExecutionPlan, Task, TaskKind
+from repro.core.plan import ExecutionPlan, TaskKind
 from repro.sim._reference import ReferenceSimulator
 from repro.sim.compile import CompiledPlan
 from repro.sim.engine import Simulator
@@ -204,9 +204,8 @@ class TestUnifiedPathGuards:
         exercised with a hand-corrupted compiled plan whose dependency counts
         can never be satisfied.
         """
-        plan = ExecutionPlan(
-            tasks=[Task(task_id=0, name="t", kind=TaskKind.OTHER, duration_s=1.0, resources=("r",))]
-        )
+        plan = ExecutionPlan()
+        plan.add("t", TaskKind.OTHER, 1.0, ("r",))
         corrupt = CompiledPlan(
             plan=plan,
             num_tasks=1,

@@ -1,6 +1,10 @@
 """Tests for the compiled-plan representation (:mod:`repro.sim.compile`)."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.plan import ExecutionPlan, TaskKind
 from repro.sim.compile import CompiledPlan, compile_plan
@@ -49,12 +53,26 @@ class TestCompiledPlan:
         assert cp.resource_names == ()
         assert cp.initial_ready == ()
 
-    def test_compile_validates(self):
-        plan = ExecutionPlan()
-        plan.add("a", TaskKind.OTHER, 1.0, ())
-        plan.tasks[0].task_id = 5  # corrupt
+    @pytest.mark.parametrize(
+        "duration_s, deps",
+        [
+            (1.0, [5]),  # forward dependency
+            (1.0, [4]),  # self dependency: the next task id is 4
+            (1.0, [-1]),  # negative dependency
+            (-1.0, [0]),  # negative duration
+        ],
+        ids=["forward-dep", "self-dep", "negative-dep", "negative-duration"],
+    )
+    def test_add_rejects_malformed_task_and_leaves_plan_unchanged(
+        self, duration_s, deps
+    ):
+        plan = _diamond_plan()
+        cached = plan.compiled()
         with pytest.raises(ValueError):
-            compile_plan(plan)
+            plan.add("bad", TaskKind.OTHER, duration_s, ("fresh:0",), deps=deps)
+        assert plan.num_tasks == 4
+        assert "fresh:0" not in plan.resource_index
+        assert plan.compiled() is cached
 
 
 class TestCompileCache:
@@ -72,16 +90,14 @@ class TestCompileCache:
         assert second.num_tasks == first.num_tasks + 1
         assert "compute:1" in second.resource_index
 
-    def test_direct_tasks_append_detected_by_count(self):
+    def test_tasks_view_cannot_change_the_plan(self):
         plan = _diamond_plan()
-        stale = plan.compiled()
-        # Bypassing add() is unsupported but a changed task count is detected.
-        from repro.core.plan import Task
-
-        plan.tasks.append(
-            Task(task_id=4, name="x", kind=TaskKind.OTHER, duration_s=1.0, resources=())
-        )
-        assert plan.compiled() is not stale
+        cached = plan.compiled()
+        with pytest.raises(AttributeError):
+            plan.tasks.append(plan.tasks[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.tasks[0].duration_s = 5.0
+        assert plan.compiled() is cached
 
     def test_simulation_reuses_the_cache(self):
         from repro.sim.engine import simulate
@@ -101,3 +117,115 @@ class TestCompileCache:
         assert by_compiled.makespan_s == by_plan.makespan_s
         assert by_compiled.end_times == by_plan.end_times
         assert by_compiled.plan is plan
+
+
+# -- property: the compile equals a brute-force lowering ------------------------
+
+RESOURCE_POOL = (
+    "compute:0", "compute:1", "nvl:0:tx", "nvl:1:rx", "nic:0:tx", "nic:0:rx"
+)
+KINDS = tuple(TaskKind)
+_ROW = st.tuples(
+    st.sampled_from(KINDS),
+    st.just(0.0) | st.floats(0.0, 10.0),
+    st.lists(st.sampled_from(RESOURCE_POOL), max_size=3).map(tuple),
+    st.lists(st.integers(0, 59), max_size=3),
+    st.integers(-1, 3),
+    st.integers(-2, 3),
+)
+
+
+def _dag_rows(rows):
+    """Rows ``(name, kind, duration, resources, deps, rank, priority)`` of a DAG.
+
+    Each drawn dependency is folded onto an earlier task.
+    """
+    return [
+        (f"t{tid}", kind, duration, resources, [d % tid for d in deps] if tid else [])
+        + (rank, priority)
+        for tid, (kind, duration, resources, deps, rank, priority) in enumerate(rows)
+    ]
+
+
+TASK_ROWS = (
+    st.integers(0, 60)
+    .flatmap(lambda n: st.lists(_ROW, min_size=n, max_size=n))
+    .map(_dag_rows)
+)
+
+
+def _build(rows) -> ExecutionPlan:
+    plan = ExecutionPlan()
+    for row in rows:
+        plan.add(*row)
+    return plan
+
+
+def _brute_force_lowering(plan: ExecutionPlan) -> dict:
+    tasks = plan.tasks
+    index: dict[str, int] = {}
+    for t in tasks:
+        for r in t.resources:
+            index.setdefault(r, len(index))
+    dependents: list[list[int]] = [[] for _ in tasks]
+    for t in tasks:
+        for d in t.deps:
+            dependents[d].append(t.task_id)
+    return {
+        "resource_index": index,
+        "durations": tuple(t.duration_s for t in tasks),
+        "task_resources": tuple(tuple(index[r] for r in t.resources) for t in tasks),
+        "dep_counts": tuple(len(t.deps) for t in tasks),
+        "dependents": [tuple(ds) for ds in dependents],
+        "initial_ready": tuple(t.task_id for t in tasks if not t.deps),
+        "dispatch_keys": tuple((t.priority, t.task_id) for t in tasks),
+    }
+
+
+def _without_plan(cp: CompiledPlan) -> dict:
+    return {
+        f.name: getattr(cp, f.name) for f in dataclasses.fields(cp) if f.name != "plan"
+    }
+
+
+class TestCompileProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(TASK_ROWS)
+    def test_compile_equals_brute_force_lowering(self, rows):
+        plan = _build(rows)
+        cp = plan.compiled()
+        expected = _brute_force_lowering(plan)
+        assert cp.num_tasks == len(rows)
+        assert cp.resource_index == expected["resource_index"]
+        assert cp.resource_names == tuple(expected["resource_index"])
+        assert cp.durations == expected["durations"]
+        assert cp.task_resources == expected["task_resources"]
+        assert cp.dep_counts == expected["dep_counts"]
+        assert [cp.dependents_of(t) for t in range(cp.num_tasks)] == expected[
+            "dependents"
+        ]
+        assert cp.dependents_indptr[0] == 0
+        assert cp.dependents_indptr[-1] == len(cp.dependents_ids)
+        assert cp.initial_ready == expected["initial_ready"]
+        assert cp.dispatch_keys == expected["dispatch_keys"]
+        # Dense columns hold plain Python ints, never numpy scalars.
+        for column in (
+            cp.dep_counts,
+            cp.dependents_indptr,
+            cp.dependents_ids,
+            cp.initial_ready,
+        ):
+            assert all(type(v) is int for v in column)
+
+    @settings(max_examples=50, deadline=None)
+    @given(TASK_ROWS)
+    def test_structure_ignores_durations_and_survives_a_rebuild(self, rows):
+        plan = _build(rows)
+        retimed = _build([(n, k, 2.0 * d + 1.0, *rest) for n, k, d, *rest in rows])
+        assert retimed.compiled().structure_key == plan.compiled().structure_key
+        fresh = ExecutionPlan()
+        for t in plan.tasks:
+            fresh.add(
+                t.name, t.kind, t.duration_s, t.resources, t.deps, t.rank, t.priority
+            )
+        assert _without_plan(fresh.compiled()) == _without_plan(plan.compiled())
