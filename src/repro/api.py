@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.cluster.presets import cluster_a, cluster_b, cluster_c
@@ -39,7 +38,6 @@ from repro.core.strategy import Strategy, StrategyContext
 from repro.data.datasets import SyntheticDataset
 from repro.data.sampler import Batch
 from repro.model.spec import TransformerSpec, get_model
-from repro.obs.core import Telemetry, as_telemetry, current_telemetry
 from repro.registry import STRATEGIES
 from repro.results import CompareResult, ResilienceResult, RunResult, ServeResult
 from repro.utils.validation import check_positive
@@ -174,27 +172,17 @@ class Session:
     Derived sessions created by :meth:`derive`/:meth:`sweep` are themselves
     cached by configuration, so re-running a sweep is nearly free.
 
-    ``telemetry`` (a :class:`~repro.obs.Telemetry` hub, a JSONL path, or
-    ``None`` for the ambient default) is purely observational: it flows into
-    every run/compare/sweep/serve launched from this session — and into
-    sessions derived from it — without ever affecting results.
+    Telemetry is observational and ambient: everything launched from a
+    session reports to the hub installed by
+    :func:`~repro.obs.telemetry_scope` (off by default), without ever
+    affecting results.
     """
 
-    def __init__(
-        self,
-        config: SessionConfig | None = None,
-        /,
-        telemetry: "Telemetry | str | Path | None" = None,
-        **overrides: Any,
-    ):
+    def __init__(self, config: SessionConfig | None = None, /, **overrides: Any):
         if config is None:
             config = SessionConfig(**overrides)
         elif overrides:
             config = config.replace(**overrides)
-        # Resolve paths to a hub once (a path re-resolved per call would
-        # reopen — and truncate — the sink); None stays None so the ambient
-        # hub is consulted at use time, not construction time.
-        self._telemetry = None if telemetry is None else as_telemetry(telemetry)
         self.config = config
         self.cluster = build_cluster(config)
         self.spec: TransformerSpec = get_model(config.model)
@@ -210,11 +198,6 @@ class Session:
         self._children: dict[tuple[Any, ...], "Session"] = {}
 
     # -- cached building blocks -------------------------------------------------
-
-    @property
-    def telemetry(self) -> Telemetry:
-        """The session's telemetry hub (the ambient default unless one was given)."""
-        return current_telemetry() if self._telemetry is None else self._telemetry
 
     @property
     def batches(self) -> list[Batch]:
@@ -351,7 +334,6 @@ class Session:
             schedule=schedule,
             policy=policy,
             num_iterations=num_iterations,
-            telemetry=self.telemetry,
             **kwargs,
         )
         return ResilienceResult(
@@ -455,9 +437,7 @@ class Session:
             base=self._run_base(perturbation, recovery, num_iterations),
             axes={"strategy": tuple(strategies)},
         )
-        sweep = run_sweep(
-            spec, backend="serial", pool=SessionPool(self), telemetry=self._telemetry
-        )
+        sweep = run_sweep(spec, backend="serial", pool=SessionPool(self))
         return CompareResult(
             runs=sweep.results,
             baseline=(baseline or strategies[0]).lower(),
@@ -497,17 +477,15 @@ class Session:
         from repro.serve.driver import run_serve
         from repro.serve.spec import ServeSpec
 
-        telemetry = knobs.pop("telemetry", self._telemetry)
         if isinstance(spec_or_mix, ServeSpec):
             if knobs:
                 raise ValueError(
-                    "with a ServeSpec, pass no extra knobs (telemetry excepted); "
-                    f"got {sorted(knobs)}"
+                    f"with a ServeSpec, pass no extra knobs; got {sorted(knobs)}"
                 )
             spec = spec_or_mix
         else:
             spec = ServeSpec(mix=spec_or_mix, **knobs)
-        return run_serve(self, spec, telemetry=telemetry)
+        return run_serve(self, spec)
 
     # -- derived sessions and sweeps --------------------------------------------
 
@@ -525,7 +503,7 @@ class Session:
         key = config.cache_key()
         child = self._children.get(key)
         if child is None:
-            child = Session(config, telemetry=self._telemetry)
+            child = Session(config)
             child._children = self._children  # share the pool across the family
             self._children[key] = child
         return child
@@ -584,7 +562,6 @@ class Session:
             cache=cache,
             pool=pool,
             backend_options=backend_options,
-            telemetry=self._telemetry,
         )
         cells = []
         for _, group in sweep.groups("num_gpus", "total_context", "dataset"):

@@ -1049,9 +1049,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return handlers[args.command](args)
         from repro.obs.export import JsonlSink
 
-        # Install the hub as the ambient default for the whole invocation:
-        # every Session/run_sweep/run_serve resolving telemetry=None picks it
-        # up, so one flag instruments the full command without plumbing.
+        # Install the hub as the ambient hub for the whole invocation: every
+        # producer emits to it, so one flag instruments the full command.
         with Telemetry(sink=JsonlSink(telemetry_path)) as hub:
             with telemetry_scope(hub):
                 return handlers[args.command](args)

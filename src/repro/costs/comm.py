@@ -104,17 +104,6 @@ class CommCostModel:
             )
         return self.intra_node_time(volume)
 
-    def allreduce_time(
-        self, ranks: tuple[int, ...], nbytes: float, use_all_nics: bool = True
-    ) -> float:
-        """Ring all-reduce of ``nbytes`` (reduce-scatter + all-gather)."""
-        check_non_negative("nbytes", nbytes)
-        g = len(ranks)
-        if g <= 1 or nbytes == 0:
-            return 0.0
-        per_rank = nbytes / g
-        return 2.0 * self.allgather_time(ranks, per_rank, use_all_nics=use_all_nics)
-
     def all_to_all_time(
         self,
         ranks: tuple[int, ...],
@@ -164,28 +153,4 @@ class CommCostModel:
                 recv_inter, nics=nics
             )
             worst = max(worst, t_send, t_recv)
-        return worst
-
-    # -- ring attention helpers -----------------------------------------------------
-
-    def ring_round_time(
-        self,
-        ring_ranks: tuple[int, ...],
-        kv_bytes: float,
-    ) -> float:
-        """Time of one ring-attention send/receive round without routing.
-
-        Every rank sends its current KV chunk to its successor; the round
-        completes when the slowest hop (typically the node-boundary hop over a
-        single NIC) completes.
-        """
-        check_non_negative("kv_bytes", kv_bytes)
-        g = len(ring_ranks)
-        if g <= 1 or kv_bytes == 0:
-            return 0.0
-        worst = 0.0
-        for i in range(g):
-            src = ring_ranks[i]
-            dst = ring_ranks[(i + 1) % g]
-            worst = max(worst, self.p2p_time(src, dst, kv_bytes))
         return worst

@@ -122,17 +122,6 @@ class PerturbationSchedule:
         """Non-fatal events (GPU stragglers, NIC degradations) in time order."""
         return tuple(e for e in self.events if not isinstance(e, NodeFailure))
 
-    def without_failures(self) -> "PerturbationSchedule":
-        """A copy of this schedule with every node failure removed."""
-        return PerturbationSchedule(events=self.slowdowns)
-
-    def next_failure_after(self, time_s: float) -> NodeFailure | None:
-        """The earliest failure strictly after ``time_s``, if any."""
-        for event in self.failures:
-            if event.time_s > time_s:
-                return event
-        return None
-
     # -- compilation to engine vocabulary ----------------------------------------
 
     def resource_events(self, cluster: Cluster) -> tuple[ResourceEvent, ...]:

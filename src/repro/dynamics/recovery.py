@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.dynamics.events import NodeFailure, PerturbationSchedule
-from repro.obs.core import TELEMETRY_OFF, Telemetry
+from repro.obs.core import current_telemetry
 from repro.registry import RECOVERIES
 from repro.sim.engine import Simulator
 from repro.training.iteration import simulate_iteration, simulate_iteration_states
@@ -219,7 +219,6 @@ def run_resilient(
     schedule: PerturbationSchedule,
     policy: RecoveryPolicy,
     num_iterations: int = 32,
-    telemetry: Telemetry = TELEMETRY_OFF,
     **strategy_kwargs: Any,
 ) -> ResilienceReport:
     """Simulate ``num_iterations`` training iterations under a perturbation
@@ -230,10 +229,12 @@ def run_resilient(
     iteration's start; after an elastic shrink, plans are rebuilt for the
     surviving cluster through ``session.derive`` (same batches, fewer ranks),
     i.e. the strategy's own ``plan_layer``.  Everything is deterministic given
-    the session seed and the schedule; ``telemetry`` (observational only)
-    receives one ``failure``/``recovery`` event pair per handled fault.
+    the session seed and the schedule; the ambient telemetry hub
+    (observational only) receives one ``failure``/``recovery`` event pair
+    per handled fault.
     """
     check_positive("num_iterations", num_iterations)
+    telemetry = current_telemetry()
     config = session.config
     full_nodes = config.num_nodes
     batches = session.batches

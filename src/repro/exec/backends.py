@@ -17,7 +17,7 @@ import multiprocessing
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.exec.worker import execute_payload
-from repro.obs.core import TELEMETRY_OFF, Telemetry
+from repro.obs.core import TELEMETRY_OFF, telemetry_scope
 from repro.registry import BACKENDS
 
 Payload = Mapping[str, Any]
@@ -27,14 +27,12 @@ Worker = Callable[[Payload], dict]
 class ExecutionBackend:
     """Base class for sweep execution backends.
 
-    :attr:`telemetry` is installed by the sweep driver for the duration of
-    one :meth:`map` call; backends with internal structure worth observing
-    (the cluster backend's rounds and job lifecycle) emit events through it.
-    It defaults to the no-op hub, so backends may use it unconditionally.
+    Backends with internal structure worth observing (the cluster backend's
+    rounds and job lifecycle) emit events to the ambient hub
+    (:func:`~repro.obs.current_telemetry`).
     """
 
     name = "abstract"
-    telemetry: Telemetry = TELEMETRY_OFF
 
     def __init__(self, jobs: int = 1):
         if jobs < 1:
@@ -70,6 +68,18 @@ class SerialBackend(ExecutionBackend):
         return [worker(payload) for payload in payloads]
 
 
+def _execute_unobserved(payload: Payload) -> dict:
+    """:func:`execute_payload` with the ambient hub switched off.
+
+    A forked worker inherits the parent's ambient hub together with its
+    unflushed sink buffer: events emitted in the child would rewrite the
+    parent's buffered events into the log and lose the rest at exit.  The
+    process backend is observed at sweep level only.
+    """
+    with telemetry_scope(TELEMETRY_OFF):
+        return execute_payload(payload)
+
+
 @BACKENDS.register(
     "process", description="parallel execution via a multiprocessing pool (--jobs N)"
 )
@@ -78,7 +88,8 @@ class ProcessBackend(ExecutionBackend):
 
     Child workers run the module-level worker against their own per-process
     session pool, so each worker still reuses sessions and plan caches across
-    the points it executes.  Results come back in point order.
+    the points it executes.  Results come back in point order.  Workers emit
+    no telemetry (see :func:`_execute_unobserved`).
     """
 
     name = "process"
@@ -108,7 +119,7 @@ class ProcessBackend(ExecutionBackend):
         ctx = multiprocessing.get_context(multiprocessing.get_start_method())
         with ctx.Pool(processes=jobs) as pool:
             return pool.map(
-                execute_payload,
+                _execute_unobserved,
                 [dict(p) for p in payloads],
                 chunksize=self.chunksize(len(payloads), jobs),
             )

@@ -17,8 +17,8 @@ Per-round observability (job counts, resubmissions, worker execute/hit
 counts) lands in :attr:`SweepResult.meta <repro.exec.result.SweepResult.meta>`
 via :meth:`ClusterBackend.observability`; per-round wall times live apart
 under its ``timing`` key (merged into ``meta["timing"]`` by the driver) so
-the rest of the meta is deterministic.  With a telemetry hub installed by
-the sweep driver, every round and every job submit/complete/fail/resubmit/
+the rest of the meta is deterministic.  With an ambient telemetry hub
+installed, every round and every job submit/complete/fail/resubmit/
 cancel becomes a structured event (:mod:`repro.obs.events`), and
 ``progress=True`` (CLI ``--progress``) prints a live per-round status line
 to stderr.
@@ -36,6 +36,7 @@ from repro.config import cache_dir_override
 from repro.exec.backends import ExecutionBackend, Payload, Worker
 from repro.exec.cluster.jobfile import result_path_for, write_jobfile
 from repro.exec.cluster.submitters import ClusterJob, Submitter, run_jobs
+from repro.obs.core import current_telemetry
 from repro.registry import BACKENDS, SUBMITTERS
 
 # Worker count divisor between consecutive rounds (partis reduces ~1.6x).
@@ -190,7 +191,7 @@ class ClusterBackend(ExecutionBackend):
         round_wall_times: list[float] = []
         total_resubmissions = 0
         round_index = 0
-        tele = self.telemetry
+        tele = current_telemetry()
         # Round wall time always flows through an obs span, telemetry or not.
         stopwatch = tele.stopwatch()
 
@@ -233,7 +234,6 @@ class ClusterBackend(ExecutionBackend):
                     timeout_s=self.timeout_s,
                     poll_interval_s=self.poll_interval_s,
                     max_resubmits=self.max_resubmits,
-                    telemetry=tele,
                     on_job_done=on_job_done,
                 )
             executed = 0

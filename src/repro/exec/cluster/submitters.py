@@ -34,7 +34,7 @@ from typing import Any, Callable, Sequence
 
 from repro.config import worker_environ
 from repro.exec.cluster.jobfile import read_results
-from repro.obs.core import TELEMETRY_OFF, Telemetry
+from repro.obs.core import current_telemetry
 from repro.registry import SUBMITTERS
 
 
@@ -312,7 +312,6 @@ def run_jobs(
     timeout_s: float | None = None,
     poll_interval_s: float = 0.1,
     max_resubmits: int = 1,
-    telemetry: Telemetry = TELEMETRY_OFF,
     on_job_done: "Callable[[ClusterJob, int], None] | None" = None,
 ) -> dict[str, Any]:
     """Submit ``jobs``, poll to completion, resubmit failures (bounded).
@@ -326,7 +325,7 @@ def run_jobs(
     round loop of :class:`~repro.exec.cluster.backend.ClusterBackend`) to
     re-split over the next, smaller round.
 
-    ``telemetry`` receives one structured event per lifecycle transition
+    The ambient hub receives one structured event per lifecycle transition
     (``job_submit``/``job_complete``/``job_fail``/``job_resubmit``/
     ``job_cancel``); ``on_job_done(job, completed_count)`` is invoked after
     every completion (the backend's live progress line).
@@ -334,6 +333,7 @@ def run_jobs(
     Returns ``{"completed": [...], "failed": [...], "resubmissions": n}``;
     completed jobs carry their parsed result document in ``job.result``.
     """
+    telemetry = current_telemetry()
     # Timeout arithmetic goes through an obs clock (D001): an enabled hub
     # even when telemetry is off, so there is exactly one timing code path.
     clock = telemetry.stopwatch().now

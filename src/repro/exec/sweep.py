@@ -15,8 +15,8 @@ Wall-clock observability is kept apart from everything else: every
 wall-time measurement lands under the ``meta["timing"]`` subtree (and only
 there), so identity-sensitive consumers can drop one key to get
 deterministic, byte-comparable sweep JSON.  Timing is measured through
-:mod:`repro.obs` spans; with a telemetry hub attached (``telemetry=``, or
-the ambient hub installed by the CLI's ``--telemetry``), the driver also
+:mod:`repro.obs` spans; with an ambient hub installed (``with
+telemetry_scope(hub):``, or the CLI's ``--telemetry``), the driver also
 emits sweep/point lifecycle and cache hit/miss events.
 """
 
@@ -32,7 +32,7 @@ from repro.exec.cache import ResultCache, as_cache, point_key
 from repro.exec.result import SweepResult
 from repro.exec.spec import SweepSpec
 from repro.exec.worker import SessionPool
-from repro.obs.core import TELEMETRY_OFF, Telemetry, as_telemetry
+from repro.obs.core import current_telemetry
 from repro.registry import BACKENDS
 from repro.results import result_from_dict
 
@@ -71,7 +71,6 @@ def run_sweep(
     cache: "bool | str | Path | ResultCache | None" = False,
     pool: SessionPool | None = None,
     backend_options: "Mapping[str, Any] | None" = None,
-    telemetry: "Telemetry | str | Path | None" = None,
     dedup: bool = True,
 ) -> SweepResult:
     """Execute every point of ``spec`` and collect a :class:`SweepResult`.
@@ -98,24 +97,22 @@ def run_sweep(
         Extra constructor keywords for a backend resolved by name, e.g.
         ``run_sweep(spec, backend="cluster", jobs=50,
         backend_options={"batch_system": "slurm", "workdir": "/nfs/sweep"})``.
-    telemetry:
-        A :class:`~repro.obs.Telemetry` hub, a JSONL path, or ``None`` (the
-        ambient hub — off unless installed).  Purely observational: results
-        are byte-identical with telemetry on or off.
     dedup:
         Collapse points with identical execution identity before fan-out
         (default).  ``False`` ships every uncached point to a worker —
         useful when the fan-out itself is the point, e.g. load-testing a
         backend.  Results are identical either way.
+
+    Events go to the ambient hub; results are byte-identical with telemetry
+    on or off.
     """
-    tele = as_telemetry(telemetry)
+    tele = current_telemetry()
     # Wall time is always measured through an obs span; stopwatch() hands
     # back a measuring hub even when telemetry is off, so meta["timing"]
     # stays populated.
     stopwatch = tele.stopwatch()
     points = spec.points()
     backend_obj = resolve_backend(backend, jobs=jobs, options=backend_options)
-    backend_obj.telemetry = tele
     cache_obj = as_cache(cache)
     tele.event(
         "sweep_start", backend=backend_obj.name, num_points=len(points)
@@ -159,27 +156,18 @@ def run_sweep(
             else:
                 unique = list(pending)
             payloads = [points[i].to_dict() for i in unique]
-            if tele.enabled:
-                # Per-point lifecycle for backends that execute in-process
-                # (serial; process/cluster backends run the module-level
-                # worker in children and are observed at round/job level).
-                position = itertools.count()
+            # Per-point lifecycle for backends that execute in-process
+            # (serial; process/cluster backends run the module-level worker
+            # in children and are observed at sweep or round/job level).
+            position = itertools.count()
 
-                def run_one(payload: Mapping[str, Any]) -> dict[str, Any]:
-                    index = unique[next(position)]
-                    tele.event("point_start", index=index)
-                    with stopwatch.span("point") as span:
-                        result = _worker.execute_payload(
-                            payload, pool=pool, telemetry=tele
-                        )
-                    tele.event(
-                        "point_finish", index=index, dur_s=round(span.elapsed_s, 6)
-                    )
-                    return result
-            else:
-
-                def run_one(payload: Mapping[str, Any]) -> dict[str, Any]:
-                    return _worker.execute_payload(payload, pool=pool)
+            def run_one(payload: Mapping[str, Any]) -> dict[str, Any]:
+                index = unique[next(position)]
+                tele.event("point_start", index=index)
+                with tele.span("point") as span:
+                    result = _worker.execute_payload(payload, pool=pool)
+                tele.event("point_finish", index=index, dur_s=round(span.elapsed_s, 6))
+                return result
 
             executed = backend_obj.map(payloads, run_one)
             for i, result in zip(unique, executed):
@@ -220,5 +208,4 @@ def run_sweep(
         executed=len(unique),
         dur_s=timing["wall_time_s"],
     )
-    backend_obj.telemetry = TELEMETRY_OFF
     return SweepResult(points=points, results=results, meta=meta)

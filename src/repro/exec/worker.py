@@ -18,12 +18,11 @@ lane-parallel event loop instead of N sequential ones.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Any, Mapping
 
 from repro.api import Session, SessionConfig
 from repro.exec.spec import SweepPoint
-from repro.obs.core import TELEMETRY_OFF, Telemetry, telemetry_scope
+from repro.obs.core import current_telemetry
 from repro.results import ResilienceResult, RunResult
 
 
@@ -62,18 +61,12 @@ _DEFAULT_POOL = SessionPool()
 def execute_point(
     point: SweepPoint,
     pool: SessionPool | None = None,
-    telemetry: Telemetry = TELEMETRY_OFF,
 ) -> RunResult | ResilienceResult:
     """Execute one sweep point and return its structured result.
 
-    ``telemetry`` is observational only: it times the strategy execution
-    (an ``execute`` span, nested under the driver's ``sweep/point`` span
-    when one is open) and counts executed points, without touching the
-    result.  While the point runs, an enabled hub is also installed as the
-    ambient default so the batched simulation kernel's ``batch_simulate``
-    events (:mod:`repro.sim.batch` — the point's iterations simulate as
-    lanes over shared plan structures within this pool) land on the same
-    stream.
+    The ambient hub times the strategy execution (an ``execute`` span,
+    nested under the driver's ``sweep/point`` span when one is open) and
+    counts executed points, without touching the result.
     """
     pool = pool if pool is not None else _DEFAULT_POOL
     session = pool.get(SessionConfig(**point.session_fields()))
@@ -81,11 +74,9 @@ def execute_point(
     if strategy is None:
         raise ValueError(f"sweep point has no 'strategy' field: {point!r}")
     kwargs = dict(point.get("strategy_kwargs") or {})
-    telemetry.counter("points_executed")
-    scope = (
-        telemetry_scope(telemetry) if telemetry.enabled else contextlib.nullcontext()
-    )
-    with scope, telemetry.span("execute", strategy=strategy):
+    tele = current_telemetry()
+    tele.counter("points_executed")
+    with tele.span("execute", strategy=strategy):
         return session.run(
             strategy,
             label=point.get("label"),
@@ -99,7 +90,6 @@ def execute_point(
 def execute_payload(
     payload: Mapping[str, Any],
     pool: SessionPool | None = None,
-    telemetry: Telemetry = TELEMETRY_OFF,
 ) -> dict[str, Any]:
     """Picklable worker entry point: point dict in, result dict out.
 
@@ -108,6 +98,4 @@ def execute_payload(
     a serial and a process run of the same grid produce identical
     :class:`~repro.exec.result.SweepResult`\\ s.
     """
-    return execute_point(
-        SweepPoint(dict(payload)), pool=pool, telemetry=telemetry
-    ).to_dict()
+    return execute_point(SweepPoint(dict(payload)), pool=pool).to_dict()

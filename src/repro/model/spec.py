@@ -118,21 +118,6 @@ class TransformerSpec:
         embeddings = 2 * self.vocab_size * h  # input embedding + LM head
         return self.num_layers * per_layer + embeddings
 
-    def scaled_layers(self, factor: float) -> "TransformerSpec":
-        """Return a copy with the layer count scaled by ``factor`` (>= 1 layer)."""
-        check_positive("factor", factor)
-        return TransformerSpec(
-            name=f"{self.name}-x{factor:g}",
-            hidden_size=self.hidden_size,
-            num_layers=max(1, int(round(self.num_layers * factor))),
-            num_heads=self.num_heads,
-            num_kv_heads=self.num_kv_heads,
-            ffn_hidden_size=self.ffn_hidden_size,
-            vocab_size=self.vocab_size,
-            dtype_bytes=self.dtype_bytes,
-            moe=self.moe,
-        )
-
 
 MODEL_PRESETS: dict[str, TransformerSpec] = {
     "llama-3b": TransformerSpec(

@@ -16,10 +16,9 @@
 The default is **off**: :data:`TELEMETRY_OFF` is a no-op singleton whose
 methods return immediately without reading the clock, so instrumented hot
 paths cost one attribute lookup and one function call when telemetry is
-disabled.  Producers accept ``telemetry=None`` and normalise through
-:func:`as_telemetry`, which falls back to the ambient default installed by
-:func:`telemetry_scope` (how the CLI's ``--telemetry PATH`` reaches
-experiment sweeps without threading a parameter through every signature).
+disabled.  There is one channel: producers emit to
+:func:`current_telemetry`, the ambient hub that :func:`telemetry_scope`
+installs (the CLI's ``--telemetry PATH`` wraps the whole command in one).
 
 Telemetry is observational only: nothing recorded here may feed back into
 simulation results, which stay byte-identical per seed with telemetry on or
@@ -30,19 +29,13 @@ from __future__ import annotations
 
 import contextlib
 import time
-from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.obs.events import make_event
 
 
 class SpanHandle:
-    """One live (or finished) span; ``elapsed_s`` is valid after exit.
-
-    While the span is open, :attr:`elapsed_s` holds the running elapsed time
-    of the *last* :meth:`checkpoint`; after ``__exit__`` it is the span's
-    final duration.
-    """
+    """One live (or finished) span; ``elapsed_s`` is valid after exit."""
 
     __slots__ = ("_telemetry", "name", "path", "attrs", "elapsed_s", "_start")
 
@@ -65,21 +58,10 @@ class SpanHandle:
         tele = self._telemetry
         self.elapsed_s = tele._clock() - self._start
         tele._stack.pop()
-        total = tele.span_totals.get(self.path)
-        if total is None:
-            tele.span_totals[self.path] = [1, self.elapsed_s]
-        else:
-            total[0] += 1
-            total[1] += self.elapsed_s
         if tele._sink is not None:
             tele.event(
                 "span", name=self.path, dur_s=round(self.elapsed_s, 6), **self.attrs
             )
-
-    def checkpoint(self) -> float:
-        """Elapsed seconds so far (without closing the span)."""
-        self.elapsed_s = self._telemetry._clock() - self._start
-        return self.elapsed_s
 
 
 class _NullSpan:
@@ -95,9 +77,6 @@ class _NullSpan:
 
     def __exit__(self, *exc_info: Any) -> None:
         return None
-
-    def checkpoint(self) -> float:
-        return 0.0
 
 
 _NULL_SPAN = _NullSpan()
@@ -130,8 +109,6 @@ class Telemetry:
         self._stack: list[str] = []
         self.counters: dict[str, int] = {}
         self.gauges: dict[str, float] = {}
-        # span path -> [count, total seconds]
-        self.span_totals: dict[str, list[float]] = {}
 
     # -- recording ---------------------------------------------------------------
 
@@ -224,8 +201,8 @@ class NullTelemetry(Telemetry):
 
 TELEMETRY_OFF = NullTelemetry()
 
-# The ambient default consulted by as_telemetry(None); installed for the
-# duration of a CLI invocation by telemetry_scope().
+# The ambient hub every producer emits to; installed for the duration of a
+# CLI invocation (or any ``with`` block) by telemetry_scope().
 _DEFAULT: Telemetry = TELEMETRY_OFF
 
 
@@ -244,23 +221,3 @@ def telemetry_scope(telemetry: Telemetry) -> Iterator[Telemetry]:
         yield telemetry
     finally:
         _DEFAULT = previous
-
-
-def as_telemetry(telemetry: "Telemetry | str | Path | None") -> Telemetry:
-    """Normalise the ``telemetry=`` argument accepted across the stack.
-
-    ``None`` resolves to the ambient default (usually :data:`TELEMETRY_OFF`);
-    a path opens a JSONL-sinked hub writing there; a hub passes through.
-    """
-    if telemetry is None:
-        return _DEFAULT
-    if isinstance(telemetry, Telemetry):
-        return telemetry
-    if isinstance(telemetry, (str, Path)):
-        from repro.obs.export import JsonlSink
-
-        return Telemetry(sink=JsonlSink(telemetry))
-    raise TypeError(
-        f"telemetry must be a Telemetry, a path, or None; "
-        f"got {type(telemetry).__name__}"
-    )

@@ -1,11 +1,9 @@
-"""Telemetry export: the JSONL sink, Prometheus text, and run reports.
+"""Telemetry export: the JSONL sink and run reports.
 
-Three consumers of one event vocabulary (:mod:`repro.obs.events`):
+Two consumers of one event vocabulary (:mod:`repro.obs.events`):
 
 * :class:`JsonlSink` — the file sink a :class:`~repro.obs.core.Telemetry`
   hub writes through: one compact JSON object per line, flushed on close.
-* :func:`render_prometheus` — Prometheus-style text exposition of a hub's
-  counters, gauges and span totals (for scraping or eyeballing).
 * :func:`read_events` / :func:`summarize_events` / :func:`render_report` —
   the ``repro obs report PATH`` pipeline: parse and validate a JSONL event
   log, aggregate it (event counts, span time breakdown, cache/job/request
@@ -16,12 +14,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.obs.events import validate_event
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.core import Telemetry
 
 
 class JsonlSink:
@@ -80,31 +75,6 @@ def read_events(path: "str | Path", validate: bool = True) -> list[dict[str, Any
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
             events.append(doc)
     return events
-
-
-def render_prometheus(telemetry: "Telemetry") -> str:
-    """Prometheus text exposition of a hub's aggregate state."""
-    lines: list[str] = []
-    if telemetry.counters:
-        lines.append("# TYPE repro_counter_total counter")
-        for name in sorted(telemetry.counters):
-            lines.append(
-                f'repro_counter_total{{name="{name}"}} {telemetry.counters[name]}'
-            )
-    if telemetry.gauges:
-        lines.append("# TYPE repro_gauge gauge")
-        for name in sorted(telemetry.gauges):
-            lines.append(f'repro_gauge{{name="{name}"}} {telemetry.gauges[name]:g}')
-    if telemetry.span_totals:
-        lines.append("# TYPE repro_span_seconds_total counter")
-        lines.append("# TYPE repro_span_count_total counter")
-        for name in sorted(telemetry.span_totals):
-            count, total = telemetry.span_totals[name]
-            lines.append(
-                f'repro_span_seconds_total{{name="{name}"}} {total:.6f}'
-            )
-            lines.append(f'repro_span_count_total{{name="{name}"}} {int(count)}')
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def summarize_events(events: Iterable[Mapping[str, Any]]) -> dict[str, Any]:

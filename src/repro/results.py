@@ -4,8 +4,7 @@
 configuration; :class:`CompareResult` groups several runs over identical
 batches and normalises them against a baseline.  Both serialise with
 ``to_dict()``/``to_json()`` and are consumed uniformly by the CLI
-(``repro compare --json``), the experiment modules and the examples,
-replacing the loose ``speedup_table`` row dicts.
+(``repro compare --json``), the experiment modules and the examples.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ Below the cache sits the batched simulation kernel: a cell's simulation runs
 through :func:`~repro.training.throughput.measure_throughput`, whose
 per-step iterations execute as lanes of one :mod:`repro.sim.batch` pass —
 repeated sampled batches inside one virtual-time step dedup to a single
-lane, and structure-sharing steps amortise the event-loop setup.  With the
-driver's telemetry hub attached, the kernel's ``batch_simulate`` events land
-on the same stream as the request lifecycle events.
+lane, and structure-sharing steps amortise the event-loop setup.  The
+kernel's ``batch_simulate`` events go to the same ambient hub as the
+driver's request lifecycle events.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Any
 from repro.api import Session
 from repro.exec.spec import SweepPoint
 from repro.exec.worker import SessionPool, execute_payload
-from repro.obs.core import TELEMETRY_OFF, Telemetry
 from repro.registry import STRATEGIES
 from repro.serve.arrivals import Request, RequestCell
 from repro.serve.queue import RequestQueue
@@ -66,7 +65,6 @@ class Batcher:
         max_batch: int = 8,
         cache: bool = True,
         cache_hit_cost_s: float = DEFAULT_CACHE_HIT_COST_S,
-        telemetry: Telemetry = TELEMETRY_OFF,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -74,7 +72,6 @@ class Batcher:
         self.max_batch = max_batch
         self.cache = cache
         self.cache_hit_cost_s = cache_hit_cost_s
-        self.telemetry = telemetry
         self.pool = SessionPool(session)
         self.simulations_executed = 0
         # key -> (virtual time the producing execution finishes, result dict),
@@ -183,9 +180,7 @@ class Batcher:
                 finish_s = ready_at_s
                 served_by = "batch"
         else:
-            result = execute_payload(
-                point.to_dict(), pool=self.pool, telemetry=self.telemetry
-            )
+            result = execute_payload(point.to_dict(), pool=self.pool)
             self.simulations_executed += 1
             finish_s = now_s + float(result["iteration_time_s"])
             self._results[key] = (finish_s, result)

@@ -20,11 +20,10 @@ byte-identical results.
 from __future__ import annotations
 
 import heapq
-from pathlib import Path
 
 from repro.api import DEFAULT_COMPARISON, Session
 from repro.dynamics.recovery import scale_session
-from repro.obs.core import Telemetry, as_telemetry
+from repro.obs.core import current_telemetry
 from repro.obs.sketch import LatencySketch, WindowedRate
 from repro.results import ServeResult
 from repro.serve.arrivals import ClosedLoopClient, Request
@@ -44,20 +43,13 @@ class ServeSimulation:
     holds every request with its arrival/start/finish stamps and
     :attr:`executions` the dispatched batches — the raw material tests and
     tools can audit (no request starts before it arrives, concurrent
-    executions never exceed the limit...).
+    executions never exceed the limit...).  Request and scale events go to
+    the ambient telemetry hub.
     """
 
-    def __init__(
-        self,
-        session: Session,
-        spec: ServeSpec,
-        *,
-        telemetry: "Telemetry | str | Path | None" = None,
-    ):
+    def __init__(self, session: Session, spec: ServeSpec):
         self.spec = spec
         self.session = session
-        # Telemetry is observational, never part of the spec identity.
-        self.telemetry = as_telemetry(telemetry)
         self.mix = spec.resolved_mix(DEFAULT_COMPARISON)
         self.arrival = spec.build_arrival()
         self.duration_s = float(spec.duration_s)
@@ -69,7 +61,6 @@ class ServeSimulation:
             max_batch=spec.max_batch,
             cache=spec.cache,
             cache_hit_cost_s=spec.cache_hit_cost_s,
-            telemetry=self.telemetry,
         )
         # Validate every cell up front (unknown strategies, bad overrides)
         # so configuration errors surface before any simulation runs.
@@ -189,10 +180,9 @@ class ServeSimulation:
             self.scale_up_count += 1
         else:
             self.scale_down_count += 1
-        if self.telemetry.enabled:
-            self.telemetry.event(
-                "scale_up" if grew else "scale_down", vt=round(now, 6), gpus=gpus
-            )
+        current_telemetry().event(
+            "scale_up" if grew else "scale_down", vt=round(now, 6), gpus=gpus
+        )
 
     # -- admission and closed-loop issuance ---------------------------------------
 
@@ -251,7 +241,7 @@ class ServeSimulation:
         """
         if self._result is not None:
             return self._result
-        tele = self.telemetry
+        tele = current_telemetry()
         tracker = QueueDepthTracker()
         # Latency accounting is streaming: a bounded sketch and a windowed
         # completion rate, fed as batches finish — state stays O(1) no
@@ -402,16 +392,11 @@ class ServeSimulation:
         )
 
 
-def run_serve(
-    session: Session,
-    spec: ServeSpec,
-    *,
-    telemetry: "Telemetry | str | Path | None" = None,
-) -> ServeResult:
+def run_serve(session: Session, spec: ServeSpec) -> ServeResult:
     """Run one serving workload, described by ``spec``, and return its metrics.
 
-    ``telemetry`` — a hub or JSONL path receiving request
-    enqueue/dispatch/complete/shed and scale events — is purely
-    observational: results are byte-identical with telemetry on or off.
+    Request enqueue/dispatch/complete/shed and scale events go to the
+    ambient telemetry hub; results are byte-identical with telemetry on or
+    off.
     """
-    return ServeSimulation(session, spec, telemetry=telemetry).run()
+    return ServeSimulation(session, spec).run()

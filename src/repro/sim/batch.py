@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.plan import ExecutionPlan
-from repro.obs.core import Telemetry, as_telemetry
+from repro.obs.core import current_telemetry
 from repro.sim.compile import CompiledPlan, compile_plan
 from repro.sim.engine import SimulationResult, _simulate
 from repro.sim.events import ResourceEvent, compile_resource_events
@@ -222,7 +222,8 @@ def _simulate_group(
     return results, deduped, replayed
 
 
-def _emit(tele: Telemetry, lanes: int, deduped: int, structures: int, replayed: int):
+def _emit(lanes: int, deduped: int, structures: int, replayed: int) -> None:
+    tele = current_telemetry()
     tele.counter("batch_lanes", lanes)
     tele.counter("batch_lanes_deduped", deduped)
     tele.counter("batch_lanes_replayed", replayed)
@@ -241,18 +242,17 @@ def simulate_batch(
     *,
     record_trace: bool = False,
     dedup: bool = True,
-    telemetry: "Telemetry | None" = None,
 ) -> list[SimulationResult]:
     """Simulate K lanes of one shared structure; results in lane order.
 
     Bit-identical to running each lane through :meth:`Simulator.run`
     sequentially (deduped lanes share one result *object*; its values are
-    identical).  ``telemetry`` defaults to the ambient hub and is
-    observational only.
+    identical).  Each call reports one ``batch_simulate`` event to the
+    ambient hub.
     """
     cp = compiled if isinstance(compiled, CompiledPlan) else compile_plan(compiled)
     results, deduped, replayed = _simulate_group(cp, lanes, record_trace, dedup)
-    _emit(as_telemetry(telemetry), len(lanes), deduped, 1, replayed)
+    _emit(len(lanes), deduped, 1, replayed)
     return results  # type: ignore[return-value]
 
 
@@ -261,7 +261,6 @@ def simulate_many(
     *,
     record_trace: bool = False,
     dedup: bool = True,
-    telemetry: "Telemetry | None" = None,
 ) -> list[SimulationResult]:
     """Simulate arbitrary plans, batching the ones that share structure.
 
@@ -298,5 +297,5 @@ def simulate_many(
         replayed += group_replayed
         for i, result in zip(indices, group_results):
             results[i] = result
-    _emit(as_telemetry(telemetry), len(requests), deduped, len(groups), replayed)
+    _emit(len(requests), deduped, len(groups), replayed)
     return results  # type: ignore[return-value]

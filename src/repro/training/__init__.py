@@ -7,12 +7,11 @@ layer stack, and reported as tokens/second — the paper's evaluation metric
 """
 
 from repro.training.iteration import IterationResult, simulate_iteration
-from repro.training.throughput import ThroughputReport, measure_throughput, speedup_table
+from repro.training.throughput import ThroughputReport, measure_throughput
 
 __all__ = [
     "IterationResult",
     "simulate_iteration",
     "ThroughputReport",
     "measure_throughput",
-    "speedup_table",
 ]

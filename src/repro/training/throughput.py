@@ -1,10 +1,10 @@
-"""Throughput measurement and speedup reporting.
+"""Throughput measurement.
 
 The paper reports tokens/second averaged over training steps 50-150 and
 normalises every configuration against the TE CP baseline (the "1x" bars of
 Fig. 8-11).  :func:`measure_throughput` averages simulated iterations over a
-number of sampled batches; :func:`speedup_table` builds the normalised
-comparison rows the experiments print.
+number of sampled batches; :meth:`ThroughputReport.speedup_over` gives the
+ratio against a baseline.
 """
 
 from __future__ import annotations
@@ -64,32 +64,3 @@ def measure_throughput(
         num_batches=len(batches),
         iterations=iterations,
     )
-
-
-def speedup_table(
-    reports: list[ThroughputReport],
-    baseline_name: str | None = None,
-) -> list[dict[str, float | str]]:
-    """Rows of (strategy, tokens/s, speedup-vs-baseline) for experiment output.
-
-    The baseline defaults to the first report (the paper normalises against
-    TE CP, which experiments list first).
-    """
-    if not reports:
-        return []
-    baseline = reports[0]
-    if baseline_name is not None:
-        matches = [r for r in reports if r.strategy == baseline_name]
-        if not matches:
-            raise KeyError(f"no report named {baseline_name!r}")
-        baseline = matches[0]
-    rows = []
-    for report in reports:
-        rows.append(
-            {
-                "strategy": report.strategy,
-                "tokens_per_second": report.tokens_per_second,
-                "speedup": report.speedup_over(baseline),
-            }
-        )
-    return rows

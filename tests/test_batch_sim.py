@@ -21,7 +21,7 @@ import random
 import pytest
 
 from repro.core.plan import ExecutionPlan, TaskKind
-from repro.obs.core import Telemetry
+from repro.obs.core import Telemetry, telemetry_scope
 from repro.obs.export import ListSink
 from repro.sim.batch import (
     Lane,
@@ -285,8 +285,8 @@ class TestScheduleCapture:
         plan.add("y", TaskKind.OTHER, 1.0, ("r2",), deps=[b], priority=0)
         cp = compile_plan(plan)
         lanes = [Lane(), Lane(durations=(2.0, 2.0, 5.0, 1.0))]
-        with Telemetry(sink=ListSink()) as tele:
-            results = simulate_batch(cp, lanes, telemetry=tele)
+        with Telemetry(sink=ListSink()) as tele, telemetry_scope(tele):
+            results = simulate_batch(cp, lanes)
         assert tele.counters["batch_lanes_replayed"] == 0
         for i, (lane, result) in enumerate(zip(lanes, results)):
             _assert_identical(result, _reference(cp, lane), i)
@@ -303,8 +303,8 @@ class TestScheduleCapture:
             Lane(durations=(2.0, 1.0, 1.0)),  # b before a: replay fails
             Lane(durations=(4.0, 2.0, 2.0)),  # lane 2 scaled: fits its schedule
         ]
-        with Telemetry(sink=ListSink()) as tele:
-            results = simulate_batch(cp, lanes, telemetry=tele)
+        with Telemetry(sink=ListSink()) as tele, telemetry_scope(tele):
+            results = simulate_batch(cp, lanes)
         assert tele.counters["batch_lanes_replayed"] == 1
         for i, (lane, result) in enumerate(zip(lanes, results)):
             _assert_identical(result, _reference(cp, lane), i)
@@ -360,10 +360,10 @@ class TestLaneDedup:
         plan = _random_plan(rng)
         cp = compile_plan(plan)
         sink = ListSink()
-        with Telemetry(sink=sink) as tele:
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
             lanes = [Lane() for _ in range(8)]
             lanes.append(Lane(durations=tuple(d * 0.5 for d in cp.durations)))
-            results = simulate_batch(cp, lanes, telemetry=tele)
+            results = simulate_batch(cp, lanes)
         # Deduped lanes share one result object; values match sequential.
         assert all(results[i] is results[0] for i in range(8))
         assert results[8] is not results[0]
@@ -381,10 +381,8 @@ class TestLaneDedup:
         rng = random.Random(6)
         cp = compile_plan(_random_plan(rng))
         sink = ListSink()
-        with Telemetry(sink=sink) as tele:
-            results = simulate_batch(
-                cp, [Lane(), Lane()], dedup=False, telemetry=tele
-            )
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            results = simulate_batch(cp, [Lane(), Lane()], dedup=False)
         assert results[0] is not results[1]
         assert results[0].end_times == results[1].end_times
         event = [e for e in sink.events if e["type"] == "batch_simulate"][-1]
@@ -433,8 +431,8 @@ class TestSimulateMany:
             SimRequest(plan=plan_a),
         ]
         sink = ListSink()
-        with Telemetry(sink=sink) as tele:
-            results = simulate_many(requests, telemetry=tele)
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            results = simulate_many(requests)
         sim = Simulator(record_trace=False)
         for i, (request, result) in enumerate(zip(requests, results)):
             ref = sim.run(request.plan, events=request.events)

@@ -27,6 +27,8 @@ from repro.exec.cluster import (
 from repro.exec.cluster.pbs import PbsSubmitter
 from repro.exec.cluster.worker import run_jobfile
 from repro.exec.worker import execute_payload
+from repro.obs import Telemetry, telemetry_scope, validate_event
+from repro.obs.export import ListSink
 from repro.registry import BACKENDS, SUBMITTERS
 
 SMALL_BASE = {"model": "3b", "num_gpus": 16, "total_context": 16 * 1024, "num_steps": 1}
@@ -413,6 +415,43 @@ class TestRunJobsDriver:
         outcome = run_jobs(sub, jobs, poll_interval_s=0.02)
         assert len(outcome["completed"]) == 5
         assert outcome["resubmissions"] == 0
+
+    def test_lifecycle_events_go_to_the_ambient_hub(self, tmp_path):
+        marker = tmp_path / "attempted"
+        flaky = textwrap.dedent(
+            f"""
+            import pathlib, sys
+            marker = pathlib.Path({str(marker)!r})
+            if not marker.exists():
+                marker.touch()
+                sys.exit(1)  # first attempt crashes
+            {_result_script(tmp_path / "flaky.result.json")}
+            """
+        )
+        jobs = [
+            _script_job(tmp_path, "flaky", flaky),
+            _script_job(tmp_path, "dead", "import sys; sys.exit(3)"),
+        ]
+        sink = ListSink()
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            outcome = run_jobs(
+                FakeSubmitter(), jobs, poll_interval_s=0.02, max_resubmits=1
+            )
+        assert outcome["resubmissions"] == 2
+        lifecycle = {
+            name: [
+                (e["type"], e.get("attempt"))
+                for e in sink.events
+                if e.get("job") == name
+            ]
+            for name in ("flaky", "dead")
+        }
+        assert lifecycle == {
+            "flaky": [("job_submit", 0), ("job_resubmit", 1), ("job_complete", None)],
+            "dead": [("job_submit", 0), ("job_resubmit", 1), ("job_fail", None)],
+        }
+        for event in sink.events:
+            validate_event(event)
 
 
 class TestClusterBackendEndToEnd:

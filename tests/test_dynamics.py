@@ -130,7 +130,7 @@ class TestPerturbationSchedule:
         )
         assert [e.time_s for e in schedule.events] == [1.0, 5.0]
 
-    def test_views_and_next_failure(self):
+    def test_failure_and_slowdown_views(self):
         schedule = PerturbationSchedule(
             events=(
                 GpuSlowdown(time_s=0.0, rank=0, factor=0.5),
@@ -140,10 +140,6 @@ class TestPerturbationSchedule:
         )
         assert len(schedule.failures) == 2
         assert len(schedule.slowdowns) == 1
-        assert schedule.without_failures().failures == ()
-        assert schedule.next_failure_after(0.0).time_s == 2.0
-        assert schedule.next_failure_after(2.0).time_s == 8.0
-        assert schedule.next_failure_after(8.0) is None
 
     def test_active_factors_latest_event_wins(self, cluster):
         schedule = PerturbationSchedule(

@@ -1,12 +1,12 @@
-"""Tests for the aggregate experiment report and the ExperimentResult helper."""
+"""Tests for the ExperimentResult helper, JSON conversion of results and the
+experiment registry's coverage of the paper's artifacts."""
 
 import json
 
 import pytest
 
-from repro.experiments import table2_dataset_distributions
-from repro.experiments.common import ExperimentResult
-from repro.experiments.report import _EXPERIMENTS, _jsonable, generate_report
+from repro.experiments.common import ExperimentResult, jsonable
+from repro.registry import EXPERIMENTS
 
 
 class TestExperimentResult:
@@ -34,31 +34,14 @@ class TestExperimentResult:
 class TestReport:
     def test_jsonable_handles_tuple_keys_and_objects(self):
         data = {("a", 1): {"nested": (1, 2.5, None)}, "obj": object()}
-        converted = _jsonable(data)
+        converted = jsonable(data)
         json.dumps(converted)  # must not raise
         assert converted["('a', 1)"]["nested"] == [1, 2.5, None]
 
     def test_registry_covers_every_paper_artifact(self):
-        assert set(_EXPERIMENTS) == {
+        # The experiment registry is the one list of paper artifacts that
+        # `repro experiment NAME --json` can report on.
+        assert set(EXPERIMENTS.names()) == {
             "fig1", "fig3", "fig5", "fig8", "fig9", "fig10", "fig11", "fig12",
-            "fig13_resilience", "table2", "table3",
+            "fig13_resilience", "fig14_serving", "table2", "table3",
         }
-
-    def test_generate_report_subset(self, tmp_path):
-        report = generate_report({"table2": table2_dataset_distributions.run})
-        entry = report["experiments"]["table2"]
-        assert entry["headers"][0] == "dataset"
-        assert entry["elapsed_s"] >= 0
-        json.dumps(entry["rows"])
-        json.dumps(entry["extra"])
-
-    def test_main_writes_json(self, tmp_path, monkeypatch):
-        from repro.experiments import report as report_module
-
-        monkeypatch.setattr(
-            report_module, "_EXPERIMENTS", {"table2": table2_dataset_distributions.run}
-        )
-        out = tmp_path / "report.json"
-        assert report_module.main([str(out)]) == 0
-        data = json.loads(out.read_text())
-        assert "table2" in data

@@ -60,10 +60,6 @@ class TestTransformerSpec:
         with pytest.raises(ValueError):
             MoEConfig(num_experts=4, top_k=8)
 
-    def test_scaled_layers(self):
-        spec = get_model("7b").scaled_layers(0.5)
-        assert spec.num_layers == 16
-
 
 class TestFlops:
     def test_attention_is_quadratic(self, spec_7b):

@@ -6,18 +6,31 @@ The load-bearing guarantees pinned here:
   keeping p50/p95/p99 within 1% of exact on a million-sample stream;
 * every emitted event validates against the versioned schema;
 * telemetry never changes a result byte — sweeps, serves and resilience
-  runs produce identical JSON with telemetry on or off.
+  runs produce identical JSON with telemetry on or off;
+* producers report to one channel, the ambient hub installed by
+  ``telemetry_scope`` — no entry point takes a ``telemetry`` argument, and
+  forked process-backend workers write nothing to the parent's log.
 """
 
+import inspect
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from repro.api import Session
 from repro.cli import main
-from repro.exec import SweepSpec, run_sweep
+from repro.dynamics import (
+    ElasticRepartition,
+    NodeFailure,
+    PerturbationSchedule,
+    run_resilient,
+)
+from repro.exec import SweepSpec, execute_payload, execute_point, run_sweep
+from repro.exec.backends import ExecutionBackend
+from repro.exec.cluster import run_jobs
 from repro.obs import (
     TELEMETRY_OFF,
     EVENT_SCHEMA_VERSION,
@@ -25,22 +38,23 @@ from repro.obs import (
     P2Quantile,
     Telemetry,
     WindowedRate,
-    as_telemetry,
     current_telemetry,
     telemetry_scope,
     validate_event,
 )
-from repro.obs.core import NullTelemetry
+from repro.obs.core import NullTelemetry, SpanHandle
 from repro.obs.events import make_event
 from repro.obs.export import (
     JsonlSink,
     ListSink,
     read_events,
-    render_prometheus,
     render_report,
     summarize_events,
 )
 from repro.obs.sketch import exact_percentile
+from repro.serve import ServeSimulation, ServeSpec, run_serve
+from repro.serve.batcher import Batcher
+from repro.sim.batch import simulate_batch, simulate_many
 
 
 def tiny_spec(strategies=("te_cp", "zeppelin")):
@@ -182,16 +196,16 @@ class TestWindowedRate:
 
 
 class TestTelemetryHub:
-    def test_spans_nest_and_aggregate(self):
+    def test_spans_nest_and_time(self):
         clock = iter([0.0, 0.0, 1.0, 3.0, 6.0]).__next__
         tele = Telemetry(clock=clock)
-        with tele.span("sweep"):
+        with tele.span("sweep") as outer:
             with tele.span("point") as inner:
                 pass
         assert inner.path == "sweep/point"
         assert inner.elapsed_s == pytest.approx(2.0)
-        assert tele.span_totals["sweep/point"] == [1, pytest.approx(2.0)]
-        assert tele.span_totals["sweep"] == [1, pytest.approx(6.0)]
+        assert outer.path == "sweep"
+        assert outer.elapsed_s == pytest.approx(6.0)
 
     def test_counters_and_gauges(self):
         tele = Telemetry()
@@ -232,19 +246,19 @@ class TestTelemetryHub:
         watch = TELEMETRY_OFF.stopwatch()
         assert watch is not TELEMETRY_OFF and watch.enabled
 
-    def test_as_telemetry_forms(self, tmp_path):
+    def test_scope_installs_and_restores_the_ambient_hub(self):
         hub = Telemetry()
-        assert as_telemetry(hub) is hub
-        assert as_telemetry(None) is TELEMETRY_OFF  # ambient default is off
+        assert current_telemetry() is TELEMETRY_OFF  # ambient default is off
         with telemetry_scope(hub):
-            assert as_telemetry(None) is hub
+            assert current_telemetry() is hub
+            with telemetry_scope(TELEMETRY_OFF):
+                assert current_telemetry() is TELEMETRY_OFF
             assert current_telemetry() is hub
         assert current_telemetry() is TELEMETRY_OFF
-        path_hub = as_telemetry(tmp_path / "t.jsonl")
-        assert path_hub.enabled
-        path_hub.close()
-        with pytest.raises(TypeError):
-            as_telemetry(42)
+        with pytest.raises(RuntimeError):
+            with telemetry_scope(hub):
+                raise RuntimeError("boom")
+        assert current_telemetry() is TELEMETRY_OFF
 
     def test_context_manager_closes_sink(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -309,18 +323,6 @@ class TestExport:
         path.write_text("")
         assert read_events(path) == []
 
-    def test_render_prometheus(self):
-        tele = Telemetry(clock=iter([0.0, 0.0, 2.0]).__next__)
-        tele.counter("hits", 3)
-        tele.gauge("depth", 1.5)
-        with tele.span("sweep"):
-            pass
-        text = render_prometheus(tele)
-        assert 'repro_counter_total{name="hits"} 3' in text
-        assert 'repro_gauge{name="depth"} 1.5' in text
-        assert 'repro_span_seconds_total{name="sweep"} 2.000000' in text
-        assert 'repro_span_count_total{name="sweep"} 1' in text
-
     def test_summarize_and_render_report(self):
         events = [
             make_event("sweep_start", 0.0, backend="serial", num_points=2),
@@ -383,8 +385,8 @@ class TestExport:
 class TestTelemetryNeverChangesResults:
     def test_sweep_results_byte_identical(self):
         sink = ListSink()
-        with Telemetry(sink=sink) as tele:
-            observed = run_sweep(tiny_spec(), telemetry=tele)
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            observed = run_sweep(tiny_spec())
         plain = run_sweep(tiny_spec())
         assert observed.to_json(include_timing=False) == plain.to_json(
             include_timing=False
@@ -397,8 +399,8 @@ class TestTelemetryNeverChangesResults:
     def test_serve_results_byte_identical(self):
         session = Session(model="3b", num_gpus=8, total_context=32 * 1024, num_steps=1)
         sink = ListSink()
-        with Telemetry(sink=sink) as tele:
-            observed = session.serve(("te_cp",), rate=4, duration_s=5, telemetry=tele)
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            observed = session.serve(("te_cp",), rate=4, duration_s=5)
         plain = Session(
             model="3b", num_gpus=8, total_context=32 * 1024, num_steps=1
         ).serve(("te_cp",), rate=4, duration_s=5)
@@ -411,8 +413,6 @@ class TestTelemetryNeverChangesResults:
         assert len(completes) == observed.completed
 
     def test_serve_shed_and_scale_events_validate(self):
-        from repro.serve import ServeSpec
-
         spec = ServeSpec(
             mix=("zeppelin",),
             arrival="closed",
@@ -427,14 +427,13 @@ class TestTelemetryNeverChangesResults:
         )
 
         sink = ListSink()
-        with Telemetry(sink=sink) as tele:
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
             observed = Session(
                 model="3b",
                 num_gpus=16,
                 total_context=32 * 1024,
                 num_steps=1,
                 seed=3,
-                telemetry=tele,
             ).serve(spec)
         plain = Session(
             model="3b", num_gpus=16, total_context=32 * 1024, num_steps=1, seed=3
@@ -452,7 +451,7 @@ class TestTelemetryNeverChangesResults:
 
     def test_cluster_sweep_job_events_and_identity(self, tmp_path):
         sink = ListSink()
-        with Telemetry(sink=sink) as tele:
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
             observed = run_sweep(
                 tiny_spec(),
                 backend="cluster",
@@ -462,7 +461,6 @@ class TestTelemetryNeverChangesResults:
                     "workdir": tmp_path / "a",
                     "cache_dir": tmp_path / "a-cache",
                 },
-                telemetry=tele,
             )
         plain = run_sweep(
             tiny_spec(),
@@ -490,10 +488,9 @@ class TestTelemetryNeverChangesResults:
 
     def test_resilience_events_and_identity(self):
         sink = ListSink()
-        with Telemetry(sink=sink) as tele:
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
             observed = Session(
-                model="3b", num_gpus=8, total_context=32 * 1024, num_steps=1,
-                telemetry=tele,
+                model="3b", num_gpus=8, total_context=32 * 1024, num_steps=1
             ).run("zeppelin", perturbation={"mttf_s": 5.0}, num_iterations=8)
         plain = Session(
             model="3b", num_gpus=8, total_context=32 * 1024, num_steps=1
@@ -506,11 +503,31 @@ class TestTelemetryNeverChangesResults:
         for event in sink.events:
             validate_event(event)
 
-    def test_session_telemetry_flows_to_derived(self):
-        tele = Telemetry()
-        session = Session(model="3b", num_gpus=8, telemetry=tele)
-        child = session.derive(num_gpus=16)
-        assert child.telemetry is tele
+    def test_no_entry_point_takes_a_telemetry_argument(self):
+        entry_points = (
+            Session.__init__,
+            run_sweep,
+            execute_point,
+            execute_payload,
+            run_jobs,
+            ServeSimulation.__init__,
+            run_serve,
+            Batcher.__init__,
+            run_resilient,
+            simulate_batch,
+            simulate_many,
+        )
+        for fn in entry_points:
+            assert "telemetry" not in inspect.signature(fn).parameters, fn
+        with pytest.raises(TypeError, match="telemetry"):
+            Session(model="3b", num_gpus=8, telemetry=Telemetry())
+        session = Session(model="3b", num_gpus=8, total_context=32 * 1024, num_steps=1)
+        with pytest.raises(TypeError, match="telemetry"):
+            session.serve(("te_cp",), rate=4, duration_s=5, telemetry=Telemetry())
+        assert not hasattr(session, "telemetry")
+        assert not hasattr(ExecutionBackend, "telemetry")
+        assert not hasattr(Telemetry(), "span_totals")
+        assert not hasattr(SpanHandle, "checkpoint")
 
     def test_meta_timing_isolated(self):
         sweep = run_sweep(tiny_spec())
@@ -518,6 +535,120 @@ class TestTelemetryNeverChangesResults:
         assert "wall_time_s" not in sweep.meta
         doc = json.loads(sweep.to_json(include_timing=False))
         assert "timing" not in doc["meta"]
+
+
+class TestAmbientChannel:
+    """Every producer reports to the hub installed by ``telemetry_scope``."""
+
+    def test_execute_point_reports_once_to_the_ambient_hub(self):
+        point = tiny_spec().points()[0]
+        plain = execute_point(point).to_dict()
+        sink = ListSink()
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            observed = execute_point(point).to_dict()
+        assert observed == plain
+        assert tele.counters["points_executed"] == 1
+        spans = [e["name"] for e in sink.events if e["type"] == "span"]
+        assert spans == ["execute"]
+        # The batch kernel reaches the same hub without a second scope.
+        kernel = [e for e in sink.events if e["type"] == "batch_simulate"]
+        assert len(kernel) == 1
+        assert tele.counters["batch_lanes"] == kernel[0]["lanes"]
+
+    def test_process_worker_entry_runs_unobserved(self):
+        from repro.exec.backends import _execute_unobserved
+
+        payload = tiny_spec().points()[1].to_dict()
+        plain = execute_payload(payload)
+        sink = ListSink()
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            observed = _execute_unobserved(payload)
+            assert current_telemetry() is tele  # the parent's hub is back
+        assert observed == plain
+        assert sink.events == []
+        assert tele.counters == {}
+
+    def test_process_sweep_is_observed_at_sweep_level(self):
+        sink = ListSink()
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            observed = run_sweep(tiny_spec(), backend="process", jobs=2)
+        plain = run_sweep(tiny_spec())
+        a = json.loads(observed.to_json(include_timing=False))
+        b = json.loads(plain.to_json(include_timing=False))
+        assert (a["meta"].pop("backend"), b["meta"].pop("backend")) == (
+            "process",
+            "serial",
+        )
+        a["meta"].pop("jobs")
+        b["meta"].pop("jobs")
+        assert a == b
+        counts = Counter(e["type"] for e in sink.events)
+        assert counts["sweep_start"] == counts["sweep_finish"] == 1
+        for worker_event in ("point_start", "point_finish", "batch_simulate"):
+            assert counts[worker_event] == 0
+        assert "points_executed" not in tele.counters
+
+    def test_serial_sweep_emits_one_point_lifecycle_per_executed_point(self):
+        spec = tiny_spec(strategies=("te_cp", "zeppelin", "te_cp"))
+        sink = ListSink()
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            sweep = run_sweep(spec)
+        assert sweep.meta["deduped"] == 1
+        starts = [e["index"] for e in sink.events if e["type"] == "point_start"]
+        finishes = [e["index"] for e in sink.events if e["type"] == "point_finish"]
+        assert starts == finishes == [0, 1]
+        spans = Counter(e["name"] for e in sink.events if e["type"] == "span")
+        assert spans == {"sweep": 1, "sweep/point": 2, "sweep/point/execute": 2}
+        assert tele.counters["points_executed"] == 2
+        finish = [e for e in sink.events if e["type"] == "sweep_finish"][0]
+        assert finish["executed"] == 2
+
+    def test_serve_simulation_reads_the_hub_when_it_runs(self):
+        session = Session(model="3b", num_gpus=8, total_context=32 * 1024, num_steps=1)
+        simulation = ServeSimulation(
+            session, ServeSpec(mix=("te_cp", "zeppelin"), rate=4, duration_s=5)
+        )
+        sink = ListSink()
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            result = simulation.run()
+        completes = [e for e in sink.events if e["type"] == "request_complete"]
+        assert len(completes) == result.completed > 0
+        # The batcher's executions report through the same hub: one
+        # executed point per simulation, none for cache hits.
+        assert tele.counters["points_executed"] == result.simulations > 0
+        assert result.simulations == simulation.batcher.simulations_executed
+
+    def test_derived_session_reports_to_the_ambient_hub(self):
+        session = Session(model="3b", num_gpus=8, total_context=32 * 1024, num_steps=1)
+        child = session.derive(num_gpus=16)
+        sink = ListSink()
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            child.run("te_cp")
+        assert [e["type"] for e in sink.events].count("batch_simulate") == 1
+        assert tele.counters["batch_lanes"] > 0
+        assert current_telemetry() is TELEMETRY_OFF
+        sink.events.clear()
+        child.run("te_cp")  # outside the scope nothing reaches the hub
+        assert sink.events == []
+
+    def test_run_resilient_reports_each_handled_fault(self):
+        session = Session(model="3b", num_gpus=16, total_context=32 * 1024, num_steps=1)
+        schedule = PerturbationSchedule(events=(NodeFailure(time_s=0.5, node_id=1),))
+        sink = ListSink()
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            report = run_resilient(
+                session,
+                "zeppelin",
+                schedule=schedule,
+                policy=ElasticRepartition(replan_cost_s=1.0),
+                num_iterations=6,
+            )
+        failures = [e for e in sink.events if e["type"] == "failure"]
+        recoveries = [e for e in sink.events if e["type"] == "recovery"]
+        assert len(failures) == report.num_failures == 1
+        assert len(recoveries) == report.restart_count == 1
+        for event in failures + recoveries:
+            validate_event(event)
 
 
 class TestObsCli:
@@ -541,6 +672,33 @@ class TestObsCli:
         assert main(["obs", "report", str(log)]) == 0
         report = capsys.readouterr().out
         assert "sweep/point" in report and "event" in report
+
+    def test_process_sweep_workers_write_nothing_to_the_log(self, tmp_path, capsys):
+        # Large enough that a forked worker emitting events would fill, and
+        # so flush, the buffer of the JSONL sink it inherits: the parent's
+        # buffered sweep_start would reach the log again with the worker's
+        # own batch_simulate events.
+        grid = [
+            "sweep", "--model", "3b", "--gpus", "8",
+            "--context-k", *(str(k) for k in range(4, 81, 2)),
+            "--datasets", "arxiv", "github",
+            "--strategies", "te_cp", "llama_cp", "hybrid_dp",
+            "--steps", "1", "--jobs", "2", "--no-cache", "--json",
+        ]
+        log = tmp_path / "proc.jsonl"
+        assert main(grid + ["--telemetry", str(log)]) == 0
+        observed = json.loads(capsys.readouterr().out)
+        assert observed["meta"]["backend"] == "process"
+        assert observed["meta"]["executed_points"] == 234
+        counts = Counter(e["type"] for e in read_events(log))
+        assert counts["sweep_start"] == 1
+        assert counts["sweep_finish"] == 1
+        assert counts["batch_simulate"] == 0
+        assert main(grid) == 0
+        plain = json.loads(capsys.readouterr().out)
+        observed["meta"].pop("timing")
+        plain["meta"].pop("timing")
+        assert observed == plain
 
     def test_obs_report_rejects_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

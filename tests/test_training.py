@@ -1,5 +1,7 @@
 """Tests for iteration simulation, throughput measurement and the run API."""
 
+import dataclasses
+
 import pytest
 
 from repro.api import Session, SessionConfig
@@ -8,7 +10,7 @@ from repro.baselines.te_cp import TransformerEngineCPStrategy
 from repro.data.sampler import Batch
 from repro.registry import STRATEGIES
 from repro.training.iteration import simulate_iteration
-from repro.training.throughput import measure_throughput, speedup_table
+from repro.training.throughput import measure_throughput
 
 
 class TestSimulateIteration:
@@ -53,21 +55,20 @@ class TestMeasureThroughput:
         with pytest.raises(ValueError):
             measure_throughput(strategy, [])
 
-    def test_speedup_table_uses_first_as_baseline(self, context_3b_16, mixed_batch):
+    def test_zeppelin_beats_te_cp_on_the_mixed_batch(self, context_3b_16, mixed_batch):
         te = measure_throughput(TransformerEngineCPStrategy(context_3b_16), [mixed_batch])
         z = measure_throughput(ZeppelinStrategy(context_3b_16), [mixed_batch])
-        rows = speedup_table([te, z])
-        assert rows[0]["speedup"] == pytest.approx(1.0)
-        assert rows[1]["speedup"] > 1.0
+        assert te.speedup_over(te) == pytest.approx(1.0)
+        assert z.speedup_over(te) > 1.0
 
-    def test_speedup_table_named_baseline(self, context_3b_16, mixed_batch):
-        te = measure_throughput(TransformerEngineCPStrategy(context_3b_16), [mixed_batch])
+    def test_speedup_over_a_zero_throughput_baseline_raises(
+        self, context_3b_16, mixed_batch
+    ):
         z = measure_throughput(ZeppelinStrategy(context_3b_16), [mixed_batch])
-        rows = speedup_table([z, te], baseline_name="TE CP")
-        z_row = [r for r in rows if r["strategy"] == "Zeppelin"][0]
-        assert z_row["speedup"] > 1.0
-        with pytest.raises(KeyError):
-            speedup_table([te], baseline_name="nope")
+        stalled = dataclasses.replace(z, tokens_per_second=0.0)
+        assert stalled.speedup_over(z) == 0.0
+        with pytest.raises(ZeroDivisionError, match="baseline throughput is zero"):
+            z.speedup_over(stalled)
 
 
 class TestRunApi:
