@@ -75,7 +75,7 @@ from repro.registry import (
 )
 from repro.results import CompareResult, ResilienceResult, RunResult, ServeResult
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "DEFAULT_COMPARISON",

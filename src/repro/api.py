@@ -167,7 +167,10 @@ class Session:
     * a plan cache keyed by (strategy configuration, batch, phase), so any
       path that replans an already-seen combination (repeated ``run()`` /
       ``compare()`` calls, ablation grids, sweeps) gets the identical
-      :class:`ExecutionPlan` object back instead of replanning.
+      :class:`ExecutionPlan` object back instead of replanning.  Each cached
+      plan keeps its compiled form, and the compiled form memoises every
+      makespan it has finished (:func:`repro.sim.batch.simulate_makespans`),
+      so a repeated run or resilience state is not simulated again either.
 
     Derived sessions created by :meth:`derive`/:meth:`sweep` are themselves
     cached by configuration, so re-running a sweep is nearly free.

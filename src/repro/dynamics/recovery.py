@@ -29,8 +29,7 @@ from typing import TYPE_CHECKING, Any
 from repro.dynamics.events import NodeFailure, PerturbationSchedule
 from repro.obs.core import current_telemetry
 from repro.registry import RECOVERIES
-from repro.sim.engine import Simulator
-from repro.training.iteration import simulate_iteration, simulate_iteration_states
+from repro.training.iteration import simulate_iteration_states
 from repro.utils.validation import check_non_negative, check_positive
 
 # A cache miss in the resilience driver prefetches the same iteration under
@@ -241,13 +240,12 @@ def run_resilient(
 
     # (nodes, batch index, active-factor state) -> iteration seconds.  The
     # condition changes only at perturbation onsets and failures, so nearly
-    # every iteration is a cache hit.
+    # every iteration is a cache hit.  A miss asks the plans the session
+    # plan caches hold, whose compiled forms memoise every makespan they
+    # have finished: a state an earlier run of this process simulated (the
+    # healthy run, or another point facing the same straggler draw) is not
+    # simulated again.
     iteration_cache: dict[tuple, float] = {}
-    # Single-state misses share one simulator; multi-state misses batch
-    # through the lane kernel.  Either way the plans come out of the session
-    # plan caches with their CompiledPlan already built, so a resilience run
-    # compiles each (strategy, batch, phase, nodes) plan once.
-    simulator = Simulator(record_trace=False)
 
     def iteration_time(nodes: int, batch_index: int, clock: float) -> float:
         factors = schedule.active_factors(clock, session.cluster)
@@ -281,17 +279,11 @@ def run_resilient(
                     schedule.active_resource_events(event.time_s, session.cluster),
                 )
             )
-        if len(states) == 1:
-            result = simulate_iteration(
-                strat, batches[batch_index], simulator=simulator, events=states[0][1]
-            )
-            iteration_cache[key] = result.iteration_time_s
-        else:
-            results = simulate_iteration_states(
-                strat, batches[batch_index], [events for _, events in states]
-            )
-            for (state_key, _), state_result in zip(states, results):
-                iteration_cache[state_key] = state_result.iteration_time_s
+        results = simulate_iteration_states(
+            strat, batches[batch_index], [events for _, events in states]
+        )
+        for (state_key, _), state_result in zip(states, results):
+            iteration_cache[state_key] = state_result.iteration_time_s
         return iteration_cache[key]
 
     pending_failures = list(schedule.failures)

@@ -34,7 +34,11 @@ from typing import Any, Sequence
 
 from repro.config import cache_dir_override
 from repro.exec.backends import ExecutionBackend, Payload, Worker
-from repro.exec.cluster.jobfile import result_path_for, write_jobfile
+from repro.exec.cluster.jobfile import (
+    rejection_path_for,
+    result_path_for,
+    write_jobfile,
+)
 from repro.exec.cluster.submitters import ClusterJob, Submitter, run_jobs
 from repro.obs.core import current_telemetry
 from repro.registry import BACKENDS, SUBMITTERS
@@ -205,9 +209,10 @@ class ClusterBackend(ExecutionBackend):
                     [payloads[i] for i in chunk],
                     cache_dir=cache_dir,
                 )
-                # A reused workdir may hold a result file from an earlier
-                # sweep; completion is defined by its presence, so clear it.
+                # A reused workdir may hold a result or rejection file from
+                # an earlier sweep; both are read as this job's, so clear them.
                 result_path_for(jobfile).unlink(missing_ok=True)
+                rejection_path_for(jobfile).unlink(missing_ok=True)
                 jobs.append(
                     ClusterJob(
                         name=f"repro-r{round_index:02d}-j{j:03d}",

@@ -12,6 +12,11 @@ different code version, exactly as the point cache refuses stale entries.
 Writes are atomic (write-to-temp + ``os.replace``), so a result file either
 does not exist yet or is complete — pollers never observe half-written JSON
 over the mount.
+
+A worker that refuses its job file (foreign version, schema mismatch,
+malformed payloads) writes a *rejection record* beside it instead.  The
+record carries no version header, so a driver of any version can read why
+its workers will never run the job, and fail the sweep at once.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ JOBFILE_SCHEMA_VERSION = 1
 
 _JOB_KIND = "repro-cluster-job"
 _RESULT_KIND = "repro-cluster-result"
+_REJECTION_KIND = "repro-cluster-rejection"
 
 
 class JobFileError(ValueError):
@@ -103,6 +109,29 @@ def result_path_for(jobfile: "str | Path") -> Path:
     """Where the worker writes its results for ``jobfile``."""
     jobfile = Path(jobfile)
     return jobfile.with_name(jobfile.name.replace(".json", "") + ".result.json")
+
+
+def rejection_path_for(jobfile: "str | Path") -> Path:
+    """Where a worker records that it refused ``jobfile``."""
+    jobfile = Path(jobfile)
+    return jobfile.with_name(jobfile.name.replace(".json", "") + ".rejected.json")
+
+
+def write_rejection(jobfile: "str | Path", reason: str) -> Path:
+    """Record (atomically) why a worker refused ``jobfile``."""
+    doc = {"kind": _REJECTION_KIND, "reason": reason}
+    return write_json_atomic(rejection_path_for(jobfile), doc)
+
+
+def read_rejection(jobfile: "str | Path") -> str | None:
+    """Why a worker refused ``jobfile``, or ``None`` if none did."""
+    try:
+        doc = json.loads(rejection_path_for(jobfile).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    if not isinstance(doc, Mapping) or doc.get("kind") != _REJECTION_KIND:
+        return None
+    return str(doc.get("reason"))
 
 
 def write_results(

@@ -13,7 +13,9 @@ cluster path is exercisable on a laptop and in CI without a scheduler.
 their result files, enforces a per-job timeout, and resubmits failed or
 timed-out jobs a bounded number of times.  Job completion is defined by the
 result file — a job whose process exited without writing a usable result
-file is failed, whatever the scheduler thinks.
+file is failed, whatever the scheduler thinks — unless its worker recorded
+that it rejected the job file: no resubmission can succeed then, so the
+driver cancels the rest and raises at once.
 
 New submitters subclass :class:`Submitter`, register with
 ``@SUBMITTERS.register("name")`` and are then selectable via
@@ -30,10 +32,10 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
 from repro.config import worker_environ
-from repro.exec.cluster.jobfile import read_results
+from repro.exec.cluster.jobfile import JobFileError, read_rejection, read_results
 from repro.obs.core import current_telemetry
 from repro.registry import SUBMITTERS
 
@@ -323,7 +325,12 @@ def run_jobs(
     first.  Each job is resubmitted at most ``max_resubmits`` times; jobs
     that exhaust their budget are returned as failed for the caller (the
     round loop of :class:`~repro.exec.cluster.backend.ClusterBackend`) to
-    re-split over the next, smaller round.
+    re-split over the next, smaller round.  A job whose worker recorded a
+    rejection of its job file (a foreign version, a schema mismatch or a
+    malformed payload list) would fail the same way on every resubmission
+    and in every later round: the other pending jobs are cancelled and
+    :class:`~repro.exec.cluster.jobfile.JobFileError` is raised with the
+    worker's reason.
 
     The ambient hub receives one structured event per lifecycle transition
     (``job_submit``/``job_complete``/``job_fail``/``job_resubmit``/
@@ -370,6 +377,19 @@ def run_jobs(
             pending.remove(job)
             telemetry.event("job_fail", job=job.name, reason=reason)
 
+    def _abort(job: ClusterJob, reason: str) -> NoReturn:
+        telemetry.event("job_fail", job=job.name, reason="job file rejected")
+        for other in pending:
+            if other is not job:
+                submitter.cancel(other.handle)
+                telemetry.event(
+                    "job_cancel", job=other.name, reason=f"{job.name} rejected"
+                )
+        raise JobFileError(
+            f"cluster sweep failed: the worker of {job.name} rejected its job "
+            f"file: {reason}"
+        )
+
     while pending:
         progressed = False
         for job in list(pending):
@@ -397,6 +417,9 @@ def run_jobs(
                     job.result = doc
                     _complete(job)
                 else:
+                    rejection = read_rejection(job.jobfile)
+                    if rejection is not None:
+                        _abort(job, rejection)
                     _finish_or_retry(job, "exited without writing a result file")
                 progressed = True
         if pending and not progressed:

@@ -13,6 +13,10 @@ written back to it, point by point.  That per-point write discipline is
 what makes resubmission and the backend's shrinking rounds cheap: a job
 killed halfway leaves its finished points in the cache, so whichever job
 covers those payloads next gets them as hits and only computes the tail.
+
+A job file the worker cannot use (another code version's, or malformed) is
+recorded as rejected beside it; the driver then fails the sweep at once
+instead of resubmitting a job no worker of this version will ever run.
 """
 
 from __future__ import annotations
@@ -22,14 +26,32 @@ import sys
 from typing import Any, Sequence
 
 from repro.exec.cache import ResultCache, point_key
-from repro.exec.cluster.jobfile import read_jobfile, result_path_for, write_results
+from repro.exec.cluster.jobfile import (
+    JobFileError,
+    read_jobfile,
+    result_path_for,
+    write_rejection,
+    write_results,
+)
 from repro.exec.spec import SweepPoint
 from repro.exec.worker import SessionPool, execute_payload
 
 
 def run_jobfile(jobfile: str, out: "str | None" = None) -> dict[str, Any]:
-    """Execute one job file and write its result file; returns the stats."""
-    job = read_jobfile(jobfile)
+    """Execute one job file and write its result file; returns the stats.
+
+    A job file :func:`read_jobfile` refuses is recorded as rejected (see
+    :func:`~repro.exec.cluster.jobfile.write_rejection`) before the
+    :class:`JobFileError` propagates — unless the file could not be read at
+    all, which a resubmission may not repeat (a mount that has not caught
+    up yet).
+    """
+    try:
+        job = read_jobfile(jobfile)
+    except JobFileError as exc:
+        if not isinstance(exc.__cause__, OSError):
+            write_rejection(jobfile, str(exc))
+        raise
     out_path = result_path_for(jobfile) if out is None else out
     cache = None if job["cache_dir"] is None else ResultCache(job["cache_dir"])
     pool = SessionPool()

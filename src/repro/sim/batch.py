@@ -32,11 +32,14 @@ timed perturbations, failures, trace recording — always run the engine.  A
 pilot captures its schedule only while a later replayable lane could still
 read it, so the last simulated lane pays nothing for capture.
 
-:func:`simulate_many` is the producer-facing entry: it accepts requests
-over *different* plans, groups them by :attr:`CompiledPlan.structure_key`,
-and runs one batch per structure.  ``repro.training.throughput``,
+:func:`simulate_many` accepts requests over *different* plans, groups them
+by :attr:`CompiledPlan.structure_key`, and runs one batch per structure.
+:func:`simulate_makespans` is the producer-facing entry in front of it: each
+compiled plan memoises the makespans it has finished, keyed by
+``(events, start_time_s)``, so only requests no earlier call answered reach
+:func:`simulate_many`.  ``repro.training`` — and through it
 ``repro.serve.batcher`` (via the sweep worker) and
-``repro.dynamics.recovery`` all funnel through it.
+``repro.dynamics.recovery`` — funnels through it.
 """
 
 from __future__ import annotations
@@ -299,3 +302,29 @@ def simulate_many(
             results[i] = result
     _emit(len(requests), deduped, len(groups), replayed)
     return results  # type: ignore[return-value]
+
+
+def simulate_makespans(requests: Sequence[SimRequest]) -> list[float]:
+    """The makespan of every request, simulating each distinct state once.
+
+    A request is answered from :attr:`CompiledPlan.makespans` when its
+    compiled plan has already finished ``(events, start_time_s)``; the
+    misses run as one :func:`simulate_many` call and enter the memo.  The
+    memo lives and dies with its compile (:meth:`ExecutionPlan.add` drops
+    both), and simulation is deterministic, so a hit equals a fresh
+    :meth:`Simulator.run` bit for bit.  Each call adds its hits to the
+    ambient hub's ``makespan_memo_hits`` counter.
+    """
+    compiled = [
+        r.plan if isinstance(r.plan, CompiledPlan) else compile_plan(r.plan)
+        for r in requests
+    ]
+    keys = [(tuple(r.events), r.start_time_s) for r in requests]
+    makespans = [cp.makespans.get(key) for cp, key in zip(compiled, keys)]
+    misses = [i for i, makespan in enumerate(makespans) if makespan is None]
+    if misses:
+        results = simulate_many([requests[i] for i in misses])
+        for i, result in zip(misses, results):
+            makespans[i] = compiled[i].makespans[keys[i]] = result.makespan_s
+    current_telemetry().counter("makespan_memo_hits", len(requests) - len(misses))
+    return makespans  # type: ignore[return-value]

@@ -15,13 +15,15 @@ task as it arrived.  The result is cached on the plan object (dropped by
 :meth:`ExecutionPlan.add`); because :class:`repro.api.Session` memoises plans
 per (strategy, batch, phase) and ``repro.exec``'s ``SessionPool`` shares
 sessions across sweep points, one compile is amortised over every
-re-simulation of that plan — warm sweep points and resilience iterations skip
-straight to the hot loop.
+re-simulation of that plan.  The compile also carries :attr:`makespans`, the
+memo :func:`repro.sim.batch.simulate_makespans` answers repeated
+(plan, events, start) requests from, so a state simulated once is never
+simulated again while its plan lives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -54,6 +56,11 @@ class CompiledPlan:
     dependents_ids: tuple[int, ...]  # concatenated dependents of each task
     # -- initial state ----------------------------------------------------------
     initial_ready: tuple[int, ...]  # zero-dependency tasks, in id order
+    # -- finished simulations: (events, start_time_s) -> makespan ---------------
+    # Floats only: a memo of results would keep per-task dicts alive.
+    makespans: dict[tuple, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def num_resources(self) -> int:

@@ -6,6 +6,16 @@ LM-head work).  Strategies plan a *single representative layer*; the iteration
 time scales the simulated layer makespans by the layer count.  This mirrors how
 the real system repeats the same per-layer schedule for every layer, and keeps
 plans small enough to simulate quickly even at 128 GPUs.
+
+All three entry points — one iteration, one iteration per batch, and one
+batch under several perturbation states — share one path: plan each batch's
+forward and backward layer, then ask :func:`repro.sim.batch.simulate_makespans`
+for every layer makespan at once.  Each compiled plan memoises the makespans
+it has finished, so a (plan, perturbation state) pair already simulated in
+this process — a healthy run repeated across sweep points, a resilience
+iteration revisited — is answered without simulating.  An
+:class:`IterationResult` therefore holds numbers only; inspect a layer's
+schedule with :class:`repro.sim.engine.Simulator` on ``strategy.plan_layer``.
 """
 
 from __future__ import annotations
@@ -17,8 +27,7 @@ from repro.core.plan import ExecutionPlan
 from repro.core.strategy import Strategy
 from repro.data.sampler import Batch
 from repro.model.flops import embedding_flops_per_token
-from repro.sim.batch import SimRequest, simulate_many
-from repro.sim.engine import SimulationResult, Simulator
+from repro.sim.batch import SimRequest, simulate_makespans
 from repro.sim.events import ResourceEvent
 from repro.utils.validation import check_positive
 
@@ -47,8 +56,6 @@ class IterationResult:
     num_layers: int
     partition_overhead_s: float
     misc_overhead_s: float
-    forward_result: SimulationResult
-    backward_result: SimulationResult
 
     @property
     def iteration_time_s(self) -> float:
@@ -85,11 +92,55 @@ def _misc_overhead_s(strategy: Strategy, batch: Batch) -> float:
     return _OPTIMIZER_STEP_OVERHEAD_S + embed_s * 3.0  # forward + backward
 
 
+_LayerPlans = tuple[ExecutionPlan, ExecutionPlan]
+
+
+def _layer_plans(strategy: Strategy, batch: Batch) -> _LayerPlans:
+    """The (forward, backward) plans of one layer of ``batch``."""
+    return (
+        strategy.plan_layer(batch, phase="forward"),
+        strategy.plan_layer(batch, phase="backward"),
+    )
+
+
+def _iterations(
+    strategy: Strategy,
+    runs: "Sequence[tuple[Batch, _LayerPlans, Sequence[ResourceEvent] | None]]",
+) -> list[IterationResult]:
+    """Time each (batch, layer plans, events) run; one memoised simulation.
+
+    Every run's two layer makespans come from a single
+    :func:`~repro.sim.batch.simulate_makespans` call: states a compiled
+    plan has already finished are memo hits, and the rest run as lanes of
+    the batched kernel, bit-identical to sequential
+    :meth:`~repro.sim.engine.Simulator.run` calls.
+    """
+    requests = [
+        SimRequest(plan=plan, events=tuple(events) if events else ())
+        for _, plans, events in runs
+        for plan in plans
+    ]
+    makespans = simulate_makespans(requests)
+    num_layers = strategy.spec.num_layers
+    check_positive("num_layers", num_layers)
+    return [
+        IterationResult(
+            strategy=strategy.name,
+            batch_tokens=batch.total_tokens,
+            forward_layer_s=makespans[2 * i],
+            backward_layer_s=makespans[2 * i + 1],
+            num_layers=num_layers,
+            partition_overhead_s=_PLANNING_SECONDS_PER_TASK
+            * (forward.num_tasks + backward.num_tasks),
+            misc_overhead_s=_misc_overhead_s(strategy, batch),
+        )
+        for i, (batch, (forward, backward), _) in enumerate(runs)
+    ]
+
+
 def simulate_iteration(
     strategy: Strategy,
     batch: Batch,
-    simulator: Simulator | None = None,
-    record_trace: bool = True,
     events: "Sequence[ResourceEvent] | None" = None,
 ) -> IterationResult:
     """Plan, simulate and scale one full training iteration.
@@ -100,113 +151,44 @@ def simulate_iteration(
         The scheduling strategy under test.
     batch:
         The global batch of the iteration.
-    simulator:
-        Optional shared simulator instance.
-    record_trace:
-        Record per-task traces (needed for the Fig. 12 analysis; disable for
-        large benchmark sweeps).
     events:
         Optional resource perturbations (:mod:`repro.dynamics`) applied to the
         simulated layer, e.g. straggler speed factors.  Because the layer plan
         is representative of every layer, persistent conditions scale to the
         whole iteration.
     """
-    if simulator is None:
-        simulator = Simulator(record_trace=record_trace)
-
-    forward_plan: ExecutionPlan = strategy.plan_layer(batch, phase="forward")
-    backward_plan: ExecutionPlan = strategy.plan_layer(batch, phase="backward")
-    partition_overhead = _PLANNING_SECONDS_PER_TASK * (
-        forward_plan.num_tasks + backward_plan.num_tasks
-    )
-
-    forward = simulator.run(forward_plan, events=events)
-    backward = simulator.run(backward_plan, events=events)
-
-    return _assemble(strategy, batch, partition_overhead, forward, backward)
-
-
-def _assemble(
-    strategy: Strategy,
-    batch: Batch,
-    partition_overhead: float,
-    forward: SimulationResult,
-    backward: SimulationResult,
-) -> IterationResult:
-    num_layers = strategy.spec.num_layers
-    check_positive("num_layers", num_layers)
-    return IterationResult(
-        strategy=strategy.name,
-        batch_tokens=batch.total_tokens,
-        forward_layer_s=forward.makespan_s,
-        backward_layer_s=backward.makespan_s,
-        num_layers=num_layers,
-        partition_overhead_s=partition_overhead,
-        misc_overhead_s=_misc_overhead_s(strategy, batch),
-        forward_result=forward,
-        backward_result=backward,
-    )
+    return _iterations(strategy, [(batch, _layer_plans(strategy, batch), events)])[0]
 
 
 def simulate_iterations(
     strategy: Strategy,
     batches: "Sequence[Batch]",
-    record_trace: bool = False,
     events: "Sequence[ResourceEvent] | None" = None,
 ) -> list[IterationResult]:
-    """Simulate one iteration per batch through the batched lane kernel.
+    """One iteration per batch, all simulated in one batched call.
 
     Plans every batch's forward and backward layer first, then hands all
-    2N simulations to :func:`repro.sim.batch.simulate_many`, which groups
-    them by shared plan structure (strategies that re-plan the same DAG
-    shape per batch — only durations varying — simulate as lanes of one
-    event loop).  Results are bit-identical to calling
-    :func:`simulate_iteration` per batch.
+    2N simulations to one :func:`~repro.sim.batch.simulate_makespans` call,
+    whose misses :func:`~repro.sim.batch.simulate_many` groups by shared
+    plan structure (strategies that re-plan the same DAG shape per batch —
+    only durations varying — simulate as lanes of one event loop).  Results
+    equal :func:`simulate_iteration` per batch.
     """
-    shared_events = tuple(events) if events else ()
-    planned: list[tuple[Batch, float]] = []
-    requests: list[SimRequest] = []
-    for batch in batches:
-        forward_plan = strategy.plan_layer(batch, phase="forward")
-        backward_plan = strategy.plan_layer(batch, phase="backward")
-        overhead = _PLANNING_SECONDS_PER_TASK * (
-            forward_plan.num_tasks + backward_plan.num_tasks
-        )
-        planned.append((batch, overhead))
-        requests.append(SimRequest(plan=forward_plan, events=shared_events))
-        requests.append(SimRequest(plan=backward_plan, events=shared_events))
-    results = simulate_many(requests, record_trace=record_trace)
-    return [
-        _assemble(strategy, batch, overhead, results[2 * i], results[2 * i + 1])
-        for i, (batch, overhead) in enumerate(planned)
-    ]
+    return _iterations(
+        strategy, [(batch, _layer_plans(strategy, batch), events) for batch in batches]
+    )
 
 
 def simulate_iteration_states(
     strategy: Strategy,
     batch: Batch,
     event_states: "Sequence[Sequence[ResourceEvent]]",
-    record_trace: bool = False,
 ) -> list[IterationResult]:
     """One iteration of the *same* batch under several event states.
 
-    The resilience driver's shape: one plan pair, K speed schedules.  All
-    2K simulations run as lanes of the forward/backward structures in one
-    :func:`repro.sim.batch.simulate_many` call; results are bit-identical
-    to K sequential :func:`simulate_iteration` calls.
+    The resilience driver's shape: one plan pair, K speed schedules, all
+    2K simulations in one :func:`~repro.sim.batch.simulate_makespans` call.
+    Results equal K sequential :func:`simulate_iteration` calls.
     """
-    forward_plan = strategy.plan_layer(batch, phase="forward")
-    backward_plan = strategy.plan_layer(batch, phase="backward")
-    overhead = _PLANNING_SECONDS_PER_TASK * (
-        forward_plan.num_tasks + backward_plan.num_tasks
-    )
-    requests: list[SimRequest] = []
-    for events in event_states:
-        shared = tuple(events) if events else ()
-        requests.append(SimRequest(plan=forward_plan, events=shared))
-        requests.append(SimRequest(plan=backward_plan, events=shared))
-    results = simulate_many(requests, record_trace=record_trace)
-    return [
-        _assemble(strategy, batch, overhead, results[2 * i], results[2 * i + 1])
-        for i in range(len(event_states))
-    ]
+    plans = _layer_plans(strategy, batch)
+    return _iterations(strategy, [(batch, plans, events) for events in event_states])

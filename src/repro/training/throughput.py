@@ -35,21 +35,18 @@ class ThroughputReport:
         return self.tokens_per_second / baseline.tokens_per_second
 
 
-def measure_throughput(
-    strategy: Strategy,
-    batches: list[Batch],
-    record_trace: bool = False,
-) -> ThroughputReport:
+def measure_throughput(strategy: Strategy, batches: list[Batch]) -> ThroughputReport:
     """Average tokens/second of ``strategy`` over ``batches``.
 
-    The per-batch iterations simulate through the batched lane kernel
-    (:func:`~repro.training.iteration.simulate_iterations`): batches whose
-    plans share structure run as lanes of one event loop, bit-identical to
-    the sequential per-batch path.
+    The per-batch iterations simulate in one call
+    (:func:`~repro.training.iteration.simulate_iterations`): plans already
+    simulated in this process are memo hits, and batches whose plans share
+    structure run as lanes of one event loop, bit-identical to the
+    sequential per-batch path.
     """
     if not batches:
         raise ValueError("need at least one batch")
-    iterations = simulate_iterations(strategy, batches, record_trace=record_trace)
+    iterations = simulate_iterations(strategy, batches)
     total_tokens = 0
     total_time = 0.0
     for batch, result in zip(batches, iterations):

@@ -12,13 +12,18 @@ producers that funnel into it (`simulate_iterations`,
 is checked directly: replaying a run's own capture reproduces that run, and
 a lane that fails replay becomes the pilot of the next.  Lane dedup,
 structure grouping, `structure_key` invalidation and the `batch_simulate`
-telemetry are pinned down alongside.
+telemetry are pinned down alongside, and so is the makespan memo in front
+of the kernel (`simulate_makespans`): a hit equals a fresh engine run, a
+plan that grows re-simulates, and a resilience grid reaches the engine once
+per distinct (plan, events, start).
 """
 
 import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.plan import ExecutionPlan, TaskKind
 from repro.obs.core import Telemetry, telemetry_scope
@@ -29,6 +34,7 @@ from repro.sim.batch import (
     _lane_rates,
     _replay,
     simulate_batch,
+    simulate_makespans,
     simulate_many,
 )
 from repro.sim.compile import compile_plan
@@ -491,24 +497,36 @@ class TestStrategyEquivalence:
                     )
 
     def test_simulate_iterations_matches_sequential(self, session):
+        from repro.api import Session
         from repro.training.iteration import simulate_iteration, simulate_iterations
 
         strategy = session.strategy("zeppelin")
         batches = session.batches[:1] * 3  # same batch thrice: dedup regime
         batched = simulate_iterations(strategy, batches)
+        # A fresh session's plans carry no memo, so these runs simulate.
+        fresh = Session(session.config).strategy("zeppelin")
         for batch, result in zip(batches, batched):
-            sequential = simulate_iteration(strategy, batch, record_trace=False)
+            sequential = simulate_iteration(fresh, batch)
             assert result.iteration_time_s == sequential.iteration_time_s
-            assert (
-                result.forward_result.end_times
-                == sequential.forward_result.end_times
-            )
-            assert (
-                result.backward_result.end_times
-                == sequential.backward_result.end_times
-            )
+            for phase, layer_s in (
+                ("forward", result.forward_layer_s),
+                ("backward", result.backward_layer_s),
+            ):
+                plan = fresh.plan_layer(batch, phase=phase)
+                assert layer_s == Simulator(record_trace=False).run(plan).makespan_s
+        # Per-task end times at kernel level: the lanes simulate_iterations
+        # hands the kernel equal sequential engine runs task for task.
+        plans = [
+            strategy.plan_layer(batch, phase=phase)
+            for batch in batches
+            for phase in ("forward", "backward")
+        ]
+        kernel = simulate_many([SimRequest(plan=plan) for plan in plans])
+        for i, (plan, result) in enumerate(zip(plans, kernel)):
+            _assert_identical(result, Simulator(record_trace=False).run(plan), i)
 
     def test_simulate_iteration_states_matches_sequential(self, session):
+        from repro.api import Session
         from repro.training.iteration import (
             simulate_iteration,
             simulate_iteration_states,
@@ -522,23 +540,167 @@ class TestStrategyEquivalence:
             (ResourceEvent(0.0, ("compute:1",), 0.25),),
         ]
         batched = simulate_iteration_states(strategy, batch, states)
+        fresh = Session(session.config).strategy("te_cp")
         for events, result in zip(states, batched):
-            sequential = simulate_iteration(
-                strategy, batch, record_trace=False, events=list(events) or None
-            )
+            sequential = simulate_iteration(fresh, batch, events=list(events) or None)
             assert result.iteration_time_s == sequential.iteration_time_s
 
     def test_measure_throughput_unchanged(self, session):
         """The batched funnel keeps measured throughput bit-identical."""
+        from repro.api import Session
         from repro.training.iteration import simulate_iteration
         from repro.training.throughput import measure_throughput
 
         strategy = session.strategy("te_cp")
         batches = session.batches[:2]
-        measured = measure_throughput(strategy, batches, record_trace=False)
+        measured = measure_throughput(strategy, batches)
+        fresh = Session(session.config).strategy("te_cp")
         total_tokens = sum(b.total_tokens for b in batches)
         total_time = sum(
-            simulate_iteration(strategy, b, record_trace=False).iteration_time_s
-            for b in batches
+            simulate_iteration(fresh, b).iteration_time_s for b in batches
         )
         assert measured.tokens_per_second == total_tokens / total_time
+
+
+def _random_events(rng: random.Random, plan: ExecutionPlan) -> tuple:
+    """Initial speed factors, timed slowdowns and failures on ``plan``."""
+    names = sorted(plan.resource_index) + ["res:unused"]
+    events = []
+    for _ in range(rng.randint(0, 5)):
+        time_s = 0.0 if rng.random() < 0.4 else rng.randint(1, 640) / 64.0
+        factor = None if rng.random() < 0.2 else 2.0 ** rng.randint(-3, 1)
+        events.append(ResourceEvent(time_s, (rng.choice(names),), factor))
+    return tuple(events)
+
+
+class TestMakespanMemo:
+    """``simulate_makespans`` answers a state its compiled plan finished."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        start_time_s=st.sampled_from((0.0, 0.75, 4.0)),
+    )
+    def test_miss_and_hit_equal_a_fresh_engine_run(self, seed, start_time_s):
+        rng = random.Random(seed)
+        plan = _random_plan(rng)
+        events = _random_events(rng, plan)
+        request = SimRequest(plan=plan, events=events, start_time_s=start_time_s)
+        fresh = Simulator(record_trace=False).run(
+            plan, events=events, start_time_s=start_time_s
+        )
+        with Telemetry() as tele, telemetry_scope(tele):
+            miss = simulate_makespans([request])
+            assert tele.counters["makespan_memo_hits"] == 0
+            hit = simulate_makespans([request])
+            assert tele.counters["makespan_memo_hits"] == 1
+        assert [m.hex() for m in miss + hit] == [fresh.makespan_s.hex()] * 2
+
+    def test_add_after_a_memoised_run_resimulates(self):
+        plan = ExecutionPlan()
+        a = plan.add("a", TaskKind.OTHER, 1.0, ("r",))
+        before = simulate_makespans([SimRequest(plan=plan)])
+        assert plan.compiled().makespans
+        plan.add("b", TaskKind.OTHER, 2.0, ("r",), deps=[a])
+        assert not plan.compiled().makespans  # the memo went with the compile
+        with Telemetry() as tele, telemetry_scope(tele):
+            after = simulate_makespans([SimRequest(plan=plan)])
+        assert tele.counters["makespan_memo_hits"] == 0
+        assert before == [1.0]
+        assert after == [Simulator(record_trace=False).run(plan).makespan_s] == [3.0]
+
+    def test_hits_reach_the_ambient_hub_without_a_kernel_call(self):
+        rng = random.Random(31)
+        plan_a, plan_b = _random_plan(rng), _random_plan(rng)
+        slow = (ResourceEvent(0.0, ("res:0",), 0.5),)
+        requests = [
+            SimRequest(plan=plan_a),
+            SimRequest(plan=plan_b),
+            SimRequest(plan=plan_a, events=slow),
+        ]
+        sink = ListSink()
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            first = simulate_makespans(requests)
+            again = simulate_makespans(requests[::-1])
+        assert tele.counters["makespan_memo_hits"] == 3
+        assert tele.counters["batch_lanes"] == 3
+        kernel = [e for e in sink.events if e["type"] == "batch_simulate"]
+        assert len(kernel) == 1  # the hits ran nothing
+        assert again == first[::-1]
+        sim = Simulator(record_trace=False)
+        assert first == [sim.run(r.plan, events=r.events).makespan_s for r in requests]
+
+    def test_results_identical_with_telemetry_off_and_on(self):
+        from repro.api import Session
+
+        def run(session):
+            return [
+                session.run(
+                    "te_cp",
+                    perturbation={"straggler_frac": 0.25, "mttf_s": 30.0},
+                    recovery=recovery,
+                    num_iterations=12,
+                ).to_dict()
+                for recovery in ("checkpoint_restart", "elastic")
+            ]
+
+        config = dict(model="3b", num_gpus=16, total_context=32 * 1024, num_steps=2)
+        off = run(Session(**config))
+        with Telemetry(sink=ListSink()) as tele, telemetry_scope(tele):
+            on = run(Session(**config))
+        assert on == off
+        # The second policy faces the same straggler draw, so its states
+        # before the first failure are memo hits, and the hub sees them.
+        assert tele.counters["makespan_memo_hits"] > 0
+
+    def test_resilience_grid_reaches_the_engine_once_per_state(self, monkeypatch):
+        """fig13 simulates each distinct (plan, events, start) exactly once.
+
+        Every simulation request is logged where it enters the kernel
+        (``_simulate_group`` lanes, or a direct ``Simulator.run``); every
+        engine run (``_simulate``) and successful ``_replay`` is counted.
+        A fresh default session pool keeps earlier tests' memos out.
+        """
+        import repro.sim.batch as batch
+        import repro.sim.engine as engine
+        from repro.exec.worker import SessionPool
+        from repro.experiments import fig13_resilience
+
+        states: set[tuple] = set()
+        plans: list = []  # keeps every keyed plan alive, so ids stay unique
+        reached = []
+
+        def state(plan, events, start_time_s):
+            plans.append(plan)
+            states.add((id(plan), tuple(events or ()), start_time_s))
+
+        def log_group(cp, lanes, *args):
+            for lane in lanes:
+                plan = lane.plan if lane.plan is not None else cp.plan
+                state(plan, lane.events, lane.start_time_s)
+            return group(cp, lanes, *args)
+
+        def engine_run(cp, events, start_time_s, *args):
+            state(cp.plan, events, start_time_s)
+            reached.append("engine")
+            return simulate(cp, events, start_time_s, *args)
+
+        def kernel_run(*args):
+            reached.append("engine")
+            return simulate(*args)
+
+        def kernel_replay(*args):
+            result = replay(*args)
+            if result is not None:
+                reached.append("replay")
+            return result
+
+        group, simulate, replay = batch._simulate_group, engine._simulate, batch._replay
+        monkeypatch.setattr(batch, "_simulate_group", log_group)
+        monkeypatch.setattr(engine, "_simulate", engine_run)
+        monkeypatch.setattr(batch, "_simulate", kernel_run)
+        monkeypatch.setattr(batch, "_replay", kernel_replay)
+        monkeypatch.setattr("repro.exec.worker._DEFAULT_POOL", SessionPool())
+        fig13_resilience.run(seed=0)
+        assert states
+        assert len(reached) == len(states)

@@ -24,6 +24,7 @@ from repro.exec.cluster import (
     write_jobfile,
     write_results,
 )
+from repro.exec.cluster.jobfile import read_rejection, rejection_path_for
 from repro.exec.cluster.pbs import PbsSubmitter
 from repro.exec.cluster.worker import run_jobfile
 from repro.exec.worker import execute_payload
@@ -147,6 +148,28 @@ class TestWorker:
         assert main([str(jobfile), "--out", str(out)]) == 0
         assert read_results(out, expected=1) is not None
         assert "1 executed" in capsys.readouterr().out
+
+
+    def test_rejected_jobfile_is_recorded_beside_it(self, tmp_path):
+        jobfile = write_jobfile(tmp_path / "job.json", SMALL_PAYLOADS[:1])
+        doc = json.loads(jobfile.read_text())
+        doc["salt"] = "other-version/99"
+        jobfile.write_text(json.dumps(doc))
+        with pytest.raises(JobFileError, match="code version"):
+            run_jobfile(str(jobfile))
+        assert rejection_path_for(jobfile) == tmp_path / "job.rejected.json"
+        assert "'other-version/99'" in read_rejection(jobfile)
+        assert not result_path_for(jobfile).exists()
+
+    def test_unreadable_or_usable_jobfile_leaves_no_rejection(self, tmp_path):
+        # A job file the mount does not show yet may appear for a resubmission.
+        missing = tmp_path / "missing.json"
+        with pytest.raises(JobFileError, match="cannot read"):
+            run_jobfile(str(missing))
+        assert read_rejection(missing) is None
+        jobfile = write_jobfile(tmp_path / "job.json", [])
+        run_jobfile(str(jobfile))
+        assert read_rejection(jobfile) is None
 
 
 class TestSubmitterRegistry:
@@ -454,7 +477,68 @@ class TestRunJobsDriver:
             validate_event(event)
 
 
+    def test_rejected_job_file_cancels_the_rest_and_raises(self, tmp_path):
+        # A real worker over a job file of another code version, beside a
+        # job that would run for a minute.
+        jobfile = write_jobfile(tmp_path / "foreign.json", SMALL_PAYLOADS[:1])
+        doc = json.loads(jobfile.read_text())
+        doc["salt"] = "other-version/99"
+        jobfile.write_text(json.dumps(doc))
+        foreign = ClusterJob(
+            name="foreign",
+            jobfile=jobfile,
+            result_file=result_path_for(jobfile),
+            log_path=jobfile.with_suffix(".log"),
+            num_payloads=1,
+        )
+        sleeper = _script_job(tmp_path, "sleeper", "import time; time.sleep(60)")
+        sink = ListSink()
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            with pytest.raises(JobFileError, match="'other-version/99'"):
+                run_jobs(
+                    FakeSubmitter(),
+                    [foreign, sleeper],
+                    poll_interval_s=0.02,
+                    max_resubmits=3,
+                )
+        assert sleeper.handle.cancelled
+        assert sleeper.handle.proc.poll() is not None  # killed, not left running
+        lifecycle = [(e["type"], e.get("job")) for e in sink.events]
+        assert lifecycle == [
+            ("job_submit", "foreign"),
+            ("job_submit", "sleeper"),
+            ("job_fail", "foreign"),
+            ("job_cancel", "sleeper"),
+        ]
+        for event in sink.events:
+            validate_event(event)
+
+
 class TestClusterBackendEndToEnd:
+    def test_foreign_salt_fails_the_sweep_at_once(self, tmp_path, monkeypatch):
+        # Only the driver writes job files under another salt; the workers
+        # import the package as installed and refuse them.
+        monkeypatch.setattr(
+            "repro.exec.cluster.jobfile.cache_salt", lambda: "driver-only/99"
+        )
+        backend = ClusterBackend(
+            jobs=2,
+            batch_system="fake",
+            workdir=tmp_path / "work",
+            poll_interval_s=0.02,
+        )
+        sink = ListSink()
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            with pytest.raises(JobFileError) as excinfo:
+                run_sweep(small_spec(), backend=backend)
+        message = str(excinfo.value)
+        assert "rejected its job file" in message
+        assert "written by code version 'driver-only/99'" in message
+        types = [e["type"] for e in sink.events]
+        assert types.count("round_start") == 1  # no next round
+        assert "job_resubmit" not in types
+        assert types.count("job_fail") == 1
+
     def test_matches_serial_and_records_rounds(self, tmp_path):
         spec = small_spec()
         serial = run_sweep(spec)

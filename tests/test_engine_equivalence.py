@@ -158,23 +158,23 @@ class TestStrategyEquivalence:
 
     def test_resilience_result_bit_identical(self, session, monkeypatch):
         """ResilienceResults match the reference engine end to end."""
+        from repro.api import Session
         from repro.results import ResilienceResult
 
-        def run():
-            return session.run(
+        def run(on):
+            return on.run(
                 "zeppelin",
                 perturbation={"mttf_s": 40.0, "straggler_frac": 0.25, "max_failures": 2},
                 recovery="elastic",
                 num_iterations=8,
             )
 
-        with_new = run()
-        reference = lambda record_trace=True: ReferenceSimulator(
-            record_trace=record_trace, exact_drain=True
-        )
+        with_new = run(session)
+        reference_runs = []
 
         def reference_many(requests, record_trace=False, **kwargs):
-            simulator = reference(record_trace)
+            simulator = ReferenceSimulator(record_trace=record_trace, exact_drain=True)
+            reference_runs.extend(requests)
             return [
                 simulator.run(
                     r.plan, events=r.events, start_time_s=r.start_time_s
@@ -182,15 +182,13 @@ class TestStrategyEquivalence:
                 for r in requests
             ]
 
-        monkeypatch.setattr("repro.dynamics.recovery.Simulator", reference)
-        monkeypatch.setattr("repro.training.iteration.Simulator", reference)
-        # The batched lane kernel carries every healthy-iteration simulation
-        # now; rerouting it through the reference engine sequentially keeps
-        # this an end-to-end old-vs-new comparison.
-        monkeypatch.setattr(
-            "repro.training.iteration.simulate_many", reference_many
-        )
-        with_old = run()
+        # Every simulation the makespan memo misses goes to simulate_many;
+        # rerouting that through the reference engine sequentially keeps
+        # this an end-to-end old-vs-new comparison.  A fresh session's plans
+        # carry empty memos, so every state reaches the reference engine.
+        monkeypatch.setattr("repro.sim.batch.simulate_many", reference_many)
+        with_old = run(Session(session.config))
+        assert reference_runs, "the reference engine never ran"
         assert isinstance(with_new, ResilienceResult)
         assert with_new.to_dict() == with_old.to_dict()
 

@@ -30,6 +30,7 @@ from repro.dynamics import (
 )
 from repro.exec import SweepSpec, execute_payload, execute_point, run_sweep
 from repro.exec.backends import ExecutionBackend
+from repro.exec.worker import SessionPool
 from repro.exec.cluster import run_jobs
 from repro.obs import (
     TELEMETRY_OFF,
@@ -544,8 +545,10 @@ class TestAmbientChannel:
         point = tiny_spec().points()[0]
         plain = execute_point(point).to_dict()
         sink = ListSink()
+        # A fresh pool: the plans the first call left in the default pool
+        # would answer every simulation from their makespan memos.
         with Telemetry(sink=sink) as tele, telemetry_scope(tele):
-            observed = execute_point(point).to_dict()
+            observed = execute_point(point, pool=SessionPool()).to_dict()
         assert observed == plain
         assert tele.counters["points_executed"] == 1
         spans = [e["name"] for e in sink.events if e["type"] == "span"]
