@@ -97,8 +97,12 @@ class SessionConfig:
 
     @property
     def tokens_per_dp_rank(self) -> int:
-        """Per-logical-rank token budget (the paper's ``L``)."""
-        return self.total_context // (self.num_gpus // self.tensor_parallel)
+        """Per-logical-rank token budget (the paper's ``L``).
+
+        Rounded up, so the ranks together always hold the whole context even
+        when their count does not divide it.
+        """
+        return -(-self.total_context // (self.num_gpus // self.tensor_parallel))
 
     def replace(self, **overrides: Any) -> "SessionConfig":
         """A copy of this configuration with some fields overridden."""

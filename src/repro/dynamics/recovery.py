@@ -29,14 +29,8 @@ from typing import TYPE_CHECKING, Any
 from repro.dynamics.events import NodeFailure, PerturbationSchedule
 from repro.obs.core import current_telemetry
 from repro.registry import RECOVERIES
-from repro.training.iteration import simulate_iteration_states
+from repro.training.iteration import simulate_iteration
 from repro.utils.validation import check_non_negative, check_positive
-
-# A cache miss in the resilience driver prefetches the same iteration under
-# the factor states of upcoming slowdown onsets (they are known from the
-# schedule), batching up to this many states into one lane-parallel
-# simulation.  Bounded so a long slowdown tail cannot balloon one miss.
-_PREFETCH_STATES = 8
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
     from repro.api import Session
@@ -240,51 +234,25 @@ def run_resilient(
 
     # (nodes, batch index, active-factor state) -> iteration seconds.  The
     # condition changes only at perturbation onsets and failures, so nearly
-    # every iteration is a cache hit.  A miss asks the plans the session
-    # plan caches hold, whose compiled forms memoise every makespan they
-    # have finished: a state an earlier run of this process simulated (the
-    # healthy run, or another point facing the same straggler draw) is not
-    # simulated again.
+    # every iteration is a cache hit.  A miss simulates the iteration once,
+    # on the plans the session plan caches hold; their compiled forms
+    # memoise every makespan they have finished, so a state an earlier run
+    # of this process simulated (the healthy run, or another point facing
+    # the same straggler draw) is not simulated again.
     iteration_cache: dict[tuple, float] = {}
 
     def iteration_time(nodes: int, batch_index: int, clock: float) -> float:
         factors = schedule.active_factors(clock, session.cluster)
         key = (nodes, batch_index, tuple(sorted(factors.items())))
         cached = iteration_cache.get(key)
-        if cached is not None:
-            return cached
-        sess = scale_session(session, nodes)
-        strat = sess.strategy(strategy, **strategy_kwargs)
-        # The factor state only changes at slowdown onsets, so the states
-        # this run will need later are already known.  A miss therefore
-        # prefetches: the same iteration under the current state plus the
-        # next distinct upcoming states runs as lanes of one batched
-        # simulation (same plans, different speed schedules), priming the
-        # cache for the iterations that cross those onsets.
-        states = [(key, schedule.active_resource_events(clock, session.cluster))]
-        seen = {key}
-        for event in schedule.slowdowns:
-            if len(states) >= _PREFETCH_STATES:
-                break
-            if event.time_s <= clock:
-                continue
-            future = schedule.active_factors(event.time_s, session.cluster)
-            future_key = (nodes, batch_index, tuple(sorted(future.items())))
-            if future_key in seen or future_key in iteration_cache:
-                continue
-            seen.add(future_key)
-            states.append(
-                (
-                    future_key,
-                    schedule.active_resource_events(event.time_s, session.cluster),
-                )
-            )
-        results = simulate_iteration_states(
-            strat, batches[batch_index], [events for _, events in states]
-        )
-        for (state_key, _), state_result in zip(states, results):
-            iteration_cache[state_key] = state_result.iteration_time_s
-        return iteration_cache[key]
+        if cached is None:
+            sess = scale_session(session, nodes)
+            cached = iteration_cache[key] = simulate_iteration(
+                sess.strategy(strategy, **strategy_kwargs),
+                batches[batch_index],
+                schedule.active_resource_events(clock, session.cluster),
+            ).iteration_time_s
+        return cached
 
     pending_failures = list(schedule.failures)
     clock = 0.0

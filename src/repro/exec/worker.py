@@ -10,10 +10,9 @@ repeated :meth:`Session.compare` calls do.  Because the engine's
 :class:`~repro.sim.compile.CompiledPlan` is cached on each plan object, that
 sharing also amortises plan compilation: only the first point simulating a
 given (strategy, batch, phase) pays the compile, every other point goes
-straight to the hot loop.  Simulation itself is batched too: a point's
-measurement funnels through :mod:`repro.sim.batch`, so the iterations of
-plans sharing a structure within the pool execute as lanes of one
-lane-parallel event loop instead of N sequential ones.
+straight to the hot loop.  The compile also memoises the makespans it has
+finished (:func:`repro.sim.batch.simulate_makespans`), so a point whose plan
+states an earlier point in the pool already simulated runs no simulation.
 """
 
 from __future__ import annotations

@@ -48,8 +48,8 @@ EVENT_TYPES: dict[str, frozenset[str]] = {
     "job_fail": frozenset({"job", "reason"}),
     "job_resubmit": frozenset({"job", "attempt"}),
     "job_cancel": frozenset({"job", "reason"}),
-    # batched simulation kernel (repro.sim.batch)
-    "batch_simulate": frozenset({"lanes", "deduped", "structures"}),
+    # batch simulation entry points (repro.sim.batch)
+    "batch_simulate": frozenset({"lanes"}),
     # serving (repro.serve) — vt is *virtual* time inside the run
     "request_enqueue": frozenset({"request", "vt"}),
     "request_dispatch": frozenset({"request", "vt", "batch_size", "served_by"}),

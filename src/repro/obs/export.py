@@ -98,7 +98,7 @@ def summarize_events(events: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
         "cancelled": 0,
     }
     requests = {"completed": 0, "latency_sum_s": 0.0, "latency_max_s": 0.0}
-    batch = {"calls": 0, "lanes": 0, "deduped": 0, "structures": 0}
+    batch = {"calls": 0, "lanes": 0}
     counters: dict[str, int] = {}
     gauges: dict[str, float] = {}
     first_t: float | None = None
@@ -135,8 +135,6 @@ def summarize_events(events: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
         elif event_type == "batch_simulate":
             batch["calls"] += 1
             batch["lanes"] += int(doc["lanes"])
-            batch["deduped"] += int(doc["deduped"])
-            batch["structures"] += int(doc["structures"])
         elif event_type == "counter":
             counters[doc["name"]] = int(doc["value"])
         elif event_type == "gauge":
@@ -207,12 +205,7 @@ def render_report(summary: Mapping[str, Any]) -> str:
         parts.append(render_table(["cluster jobs", "count"], rows))
     if summary.get("batch", {}).get("calls"):
         batch = summary["batch"]
-        rows = [
-            ["calls", batch["calls"]],
-            ["lanes", batch["lanes"]],
-            ["deduped", batch["deduped"]],
-            ["structures", batch["structures"]],
-        ]
+        rows = [["calls", batch["calls"]], ["lanes", batch["lanes"]]]
         parts.append(render_table(["batch simulate", "count"], rows))
     if summary["requests"]["completed"]:
         completed = summary["requests"]["completed"]

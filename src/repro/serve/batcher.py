@@ -14,13 +14,12 @@ seen twice skips the simulation entirely.  That identity is encoded once per
 (capacity config, cell) and memoised beside the point, so a served request
 costs dictionary lookups, never a JSON encode.
 
-Below the cache sits the batched simulation kernel: a cell's simulation runs
-through :func:`~repro.training.throughput.measure_throughput`, whose
-per-step iterations execute as lanes of one :mod:`repro.sim.batch` pass —
-repeated sampled batches inside one virtual-time step dedup to a single
-lane, and structure-sharing steps amortise the event-loop setup.  The
-kernel's ``batch_simulate`` events go to the same ambient hub as the
-driver's request lifecycle events.
+Below the cache sits the makespan memo: a cell's simulation runs through
+:func:`~repro.training.throughput.measure_throughput`, whose per-step
+iterations go to :func:`repro.sim.batch.simulate_makespans` in one call — a
+sampled batch repeated within the cell, or a plan state another cell already
+simulated, runs the engine once.  The ``batch_simulate`` events of those
+calls go to the same ambient hub as the driver's request lifecycle events.
 """
 
 from __future__ import annotations

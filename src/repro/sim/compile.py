@@ -14,9 +14,9 @@ Compiling checks nothing: :meth:`ExecutionPlan.add` rejected every malformed
 task as it arrived.  The result is cached on the plan object (dropped by
 :meth:`ExecutionPlan.add`); because :class:`repro.api.Session` memoises plans
 per (strategy, batch, phase) and ``repro.exec``'s ``SessionPool`` shares
-sessions across sweep points, one compile is amortised over every
-re-simulation of that plan.  The compile also carries :attr:`makespans`, the
-memo :func:`repro.sim.batch.simulate_makespans` answers repeated
+sessions across sweep points, one compile serves every perturbation state
+that plan is simulated under.  The compile also carries :attr:`makespans`,
+the memo :func:`repro.sim.batch.simulate_makespans` answers repeated
 (plan, events, start) requests from, so a state simulated once is never
 simulated again while its plan lives.
 """
@@ -24,7 +24,6 @@ simulated again while its plan lives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -65,33 +64,6 @@ class CompiledPlan:
     @property
     def num_resources(self) -> int:
         return len(self.resource_names)
-
-    @cached_property
-    def structure_key(self) -> tuple:
-        """Content identity of the plan's *structure*, durations excluded.
-
-        Two compiled plans with equal keys have the same DAG shape, the same
-        interned resources and the same dispatch keys — they differ at most
-        in per-task durations, which means they are simulatable together as
-        lanes of one :func:`repro.sim.batch.simulate_batch` call.  Because
-        resource ids are interned in first-use order, equal structure implies
-        equal dense ids, so every shared array of one plan is valid for the
-        other.
-
-        The key is recomputed whenever the plan recompiles: appending a task
-        via :meth:`ExecutionPlan.add` drops the cached ``CompiledPlan``, and
-        the replacement object carries a fresh ``cached_property`` slot.
-        """
-        return (
-            self.num_tasks,
-            self.resource_names,
-            self.task_resources,
-            self.dispatch_keys,
-            self.dep_counts,
-            self.dependents_indptr,
-            self.dependents_ids,
-            self.initial_ready,
-        )
 
     def dependents_of(self, task_id: int) -> tuple[int, ...]:
         """The tasks unblocked (in part) by ``task_id`` finishing."""

@@ -18,14 +18,11 @@ in-flight task holding it is aborted (recorded in the trace with
 never start.
 
 There is ONE dispatch loop, :func:`_simulate`: :meth:`Simulator.run` calls
-it, and so does every lane of the batched kernel (:mod:`repro.sim.batch`)
-that is not replayed.  The static case is simply the dynamic case with an
-empty event schedule (speeds stay 1.0, nothing dies), so both produce
-bit-identical makespans by construction.  When the batch kernel asks, the
-loop also captures the run's *schedule* — which tasks completed together at
-each instant and which tasks the following dispatch started — so later lanes
-of the same structure can be replayed arithmetically instead of simulated.
-The loop runs over the plan's :class:`~repro.sim.compile.CompiledPlan` —
+it, and so does every simulation :mod:`repro.sim.batch` runs for the
+makespan memo's misses; nothing else simulates.  The static case is simply
+the dynamic case with an empty event schedule (speeds stay 1.0, nothing
+dies), so both produce bit-identical makespans by construction.  The loop
+runs over the plan's :class:`~repro.sim.compile.CompiledPlan` —
 interned resource ids backing plain ``busy``/``speed``/``alive`` arrays, CSR
 dependent adjacency, and precomputed ``(priority, task_id)`` dispatch keys.
 Dispatch is *indexed*: a task blocked on a busy resource parks in that
@@ -124,18 +121,8 @@ def _simulate(
     events: Sequence[ResourceEvent] | None,
     start_time_s: float,
     record_trace: bool,
-    schedule: list[tuple[int, ...]] | None = None,
 ) -> SimulationResult:
-    """The dispatch loop: :meth:`Simulator.run` and every simulated batch lane.
-
-    ``schedule``, when given (an empty list), receives the decisions
-    :func:`repro.sim.batch._replay` retraces, as a flat sequence of
-    ``finished, started`` tuple pairs: first ``(), started`` for the
-    dispatch at t=0, then one pair per drained instant — the tasks that
-    completed together and the tasks the following dispatch started, in
-    dispatch order.  It is only meaningful for runs without timed events
-    (the only ones the batch kernel replays).
-    """
+    """The dispatch loop: :meth:`Simulator.run` and every batch simulation."""
     n = cp.num_tasks
     trace = Trace()
     if n == 0:
@@ -195,8 +182,6 @@ def _simulate(
     aborted: list[int] = []
     completed = 0
     now = 0.0
-    capture = schedule is not None
-    started: list[int] = []  # this dispatch's starters, when capturing
 
     def dispatch(candidates: list[int]) -> None:
         """Start every candidate whose resources are free, in priority order.
@@ -233,14 +218,8 @@ def _simulate(
             running[tid] = rate
             heappush(heap, (finish_at, FINISH, seq, tid, generation[tid]))
             seq += 1
-            if capture:
-                started.append(tid)
 
     dispatch(list(cp.initial_ready))
-    if capture:
-        schedule.append(())
-        schedule.append(tuple(started))
-        started.clear()
 
     if not running and not heap and not any_dead:
         raise RuntimeError(
@@ -334,10 +313,6 @@ def _simulate(
                     seq += 1
 
         dispatch(candidates)
-        if capture:
-            schedule.append(tuple(finished))
-            schedule.append(tuple(started))
-            started.clear()
 
     failed_resources: tuple[str, ...] = ()
     stranded: tuple[int, ...] = ()

@@ -13,9 +13,10 @@ forward and backward layer, then ask :func:`repro.sim.batch.simulate_makespans`
 for every layer makespan at once.  Each compiled plan memoises the makespans
 it has finished, so a (plan, perturbation state) pair already simulated in
 this process — a healthy run repeated across sweep points, a resilience
-iteration revisited — is answered without simulating.  An
-:class:`IterationResult` therefore holds numbers only; inspect a layer's
-schedule with :class:`repro.sim.engine.Simulator` on ``strategy.plan_layer``.
+iteration revisited — is answered without simulating, and every other pair
+runs the engine exactly once.  An :class:`IterationResult` therefore holds
+numbers only; inspect a layer's schedule with
+:class:`repro.sim.engine.Simulator` on ``strategy.plan_layer``.
 """
 
 from __future__ import annotations
@@ -111,9 +112,9 @@ def _iterations(
 
     Every run's two layer makespans come from a single
     :func:`~repro.sim.batch.simulate_makespans` call: states a compiled
-    plan has already finished are memo hits, and the rest run as lanes of
-    the batched kernel, bit-identical to sequential
-    :meth:`~repro.sim.engine.Simulator.run` calls.
+    plan has already finished are memo hits, and each other distinct state
+    runs the engine once, bit-identical to a
+    :meth:`~repro.sim.engine.Simulator.run` call.
     """
     requests = [
         SimRequest(plan=plan, events=tuple(events) if events else ())
@@ -169,10 +170,8 @@ def simulate_iterations(
 
     Plans every batch's forward and backward layer first, then hands all
     2N simulations to one :func:`~repro.sim.batch.simulate_makespans` call,
-    whose misses :func:`~repro.sim.batch.simulate_many` groups by shared
-    plan structure (strategies that re-plan the same DAG shape per batch —
-    only durations varying — simulate as lanes of one event loop).  Results
-    equal :func:`simulate_iteration` per batch.
+    so a batch repeated in ``batches`` simulates once.  Results equal
+    :func:`simulate_iteration` per batch.
     """
     return _iterations(
         strategy, [(batch, _layer_plans(strategy, batch), events) for batch in batches]
@@ -186,9 +185,9 @@ def simulate_iteration_states(
 ) -> list[IterationResult]:
     """One iteration of the *same* batch under several event states.
 
-    The resilience driver's shape: one plan pair, K speed schedules, all
-    2K simulations in one :func:`~repro.sim.batch.simulate_makespans` call.
-    Results equal K sequential :func:`simulate_iteration` calls.
+    One plan pair, K speed schedules, all 2K simulations in one
+    :func:`~repro.sim.batch.simulate_makespans` call.  Results equal K
+    sequential :func:`simulate_iteration` calls.
     """
     plans = _layer_plans(strategy, batch)
     return _iterations(strategy, [(batch, plans, events) for events in event_states])

@@ -39,10 +39,9 @@ def measure_throughput(strategy: Strategy, batches: list[Batch]) -> ThroughputRe
     """Average tokens/second of ``strategy`` over ``batches``.
 
     The per-batch iterations simulate in one call
-    (:func:`~repro.training.iteration.simulate_iterations`): plans already
-    simulated in this process are memo hits, and batches whose plans share
-    structure run as lanes of one event loop, bit-identical to the
-    sequential per-batch path.
+    (:func:`~repro.training.iteration.simulate_iterations`): plan states
+    already simulated in this process are memo hits, and every other state
+    runs the engine once, bit-identical to the sequential per-batch path.
     """
     if not batches:
         raise ValueError("need at least one batch")

@@ -31,6 +31,17 @@ class TestSessionConfig:
             model="13b", num_gpus=32, total_context=64 * 1024, tensor_parallel=2
         )
         assert tp.tokens_per_dp_rank == 4096
+        # 24 ranks do not divide 32k tokens: the budget rounds up, so the
+        # ranks together still hold the whole context.
+        odd = SessionConfig(model="3b", num_gpus=24, total_context=32 * 1024)
+        assert odd.tokens_per_dp_rank == 1366
+        assert odd.tokens_per_dp_rank * 24 >= 32 * 1024
+
+    def test_non_dividing_cluster_runs_the_whole_batch(self):
+        session = Session(model="3b", num_gpus=24, total_context=32 * 1024, num_steps=1)
+        result = session.run("zeppelin")
+        assert result.total_tokens == sum(b.total_tokens for b in session.batches)
+        assert result.tokens_per_second > 0
 
     def test_replace_and_to_dict(self):
         config = SessionConfig(model="3b")

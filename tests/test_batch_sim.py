@@ -1,21 +1,20 @@
-"""The batched lane-parallel kernel: bit-identical to sequential simulation.
+"""The batch entry points: bit-identical to sequential simulation.
 
-:func:`repro.sim.batch.simulate_batch` promises results byte-identical to N
-sequential :meth:`Simulator.run` calls, whichever path a lane takes
-(schedule replay, or the engine's one dispatch loop with or without
-schedule capture).  These tests compare the kernel against the engine on
-random DAGs (dyadic durations, so ties are exact — the regime where replay
-verification has to be perfect; a zero-heavy variant makes equal-instant
-groups common), on every registered strategy's real plans, and through the
-producers that funnel into it (`simulate_iterations`,
-`simulate_iteration_states`, `measure_throughput`).  The captured schedule
-is checked directly: replaying a run's own capture reproduces that run, and
-a lane that fails replay becomes the pilot of the next.  Lane dedup,
-structure grouping, `structure_key` invalidation and the `batch_simulate`
-telemetry are pinned down alongside, and so is the makespan memo in front
-of the kernel (`simulate_makespans`): a hit equals a fresh engine run, a
-plan that grows re-simulates, and a resilience grid reaches the engine once
-per distinct (plan, events, start).
+:func:`repro.sim.batch.simulate_batch` and :func:`~repro.sim.batch.simulate_many`
+run every lane or request through the engine's one dispatch loop, so their
+results must equal N sequential :meth:`Simulator.run` calls byte for byte.
+These tests compare them against the engine on random DAGs (dyadic
+durations, so ties are exact; a zero-heavy variant makes equal-instant groups
+common), on every registered strategy's real plans, and through the
+producers that funnel into them (`simulate_iterations`,
+`simulate_iteration_states`, `measure_throughput`), and against traced
+engine runs, whose times must not move.  Every lane is its own engine run,
+and the `batch_simulate` telemetry is pinned down alongside.  So is the
+makespan memo in front of them (`simulate_makespans`): a hit equals a fresh
+engine run, duplicates within one call simulate once, a state is its
+compiled plan, events and start time together, a plan that grows or is
+retimed re-simulates, a failed run is not remembered, and a resilience grid
+reaches the engine once per distinct (plan, events, start).
 """
 
 import dataclasses
@@ -31,14 +30,12 @@ from repro.obs.export import ListSink
 from repro.sim.batch import (
     Lane,
     SimRequest,
-    _lane_rates,
-    _replay,
     simulate_batch,
     simulate_makespans,
     simulate_many,
 )
 from repro.sim.compile import compile_plan
-from repro.sim.engine import Simulator, _simulate
+from repro.sim.engine import Simulator
 from repro.sim.events import ResourceEvent
 
 _KINDS = list(TaskKind)
@@ -79,13 +76,13 @@ def _random_plan(
 
 
 def _duration_lanes(rng: random.Random, base: tuple[float, ...]) -> list[Lane]:
-    """Duration variants of one structure: identical, scaled, jittered, shuffled.
+    """Duration variants of one plan: identical, scaled, jittered, shuffled.
 
     All arithmetic stays dyadic so same-instant ties either survive a
-    variant exactly or break cleanly — both replay-verification regimes.
+    variant exactly or break cleanly.
     """
-    lanes = [Lane()]  # structure's own durations
-    lanes.append(Lane(durations=base))  # explicitly identical (dedup bait)
+    lanes = [Lane()]  # the plan's own durations
+    lanes.append(Lane(durations=base))  # explicitly identical
     for scale in (0.5, 1.5, 2.0, 0.25):
         lanes.append(Lane(durations=tuple(d * scale for d in base)))
     for _ in range(4):  # per-task dyadic jitter: regroups ties
@@ -102,23 +99,27 @@ def _duration_lanes(rng: random.Random, base: tuple[float, ...]) -> list[Lane]:
     return lanes
 
 
-def _reference(cp, lane: Lane, record_trace: bool = False):
+def _reference(cp, lane: Lane):
     """What the lane should equal: the engine, run sequentially."""
     lane_cp = cp
     if lane.durations is not None and lane.durations is not cp.durations:
         lane_cp = dataclasses.replace(cp, durations=lane.durations)
-    return Simulator(record_trace=record_trace).run(
+    return Simulator(record_trace=False).run(
         lane_cp, events=lane.events, start_time_s=lane.start_time_s
     )
 
 
-def _assert_identical(new, old, context):
+def _assert_same_times(new, old, context):
     assert new.makespan_s == old.makespan_s, context
     assert new.start_times == old.start_times, context
     assert new.end_times == old.end_times, context
     assert new.aborted_task_ids == old.aborted_task_ids, context
     assert new.stranded_task_ids == old.stranded_task_ids, context
     assert new.failed_resources == old.failed_resources, context
+
+
+def _assert_identical(new, old, context):
+    _assert_same_times(new, old, context)
     assert new.trace.spans == old.trace.spans, context
 
 
@@ -127,14 +128,14 @@ def _zero_heavy_case(seed: int, factors: bool):
 
     A task that takes no time completes at the instant it starts, so the
     dispatch after one drained instant pushes completions at that same
-    instant: the engine drains them as a second, equal-time group — the case
-    replay's equal-instant rule exists for.  With ``factors`` every lane
-    also carries an initial speed factor on one resource.
+    instant: the engine drains them as a second, equal-time group.  With
+    ``factors`` every lane also carries an initial speed factor on one
+    resource.
     """
     rng = random.Random(6000 + seed)
     cp = compile_plan(_random_plan(rng, zero_frac=0.4, barrier_frac=0.3))
     lanes = _duration_lanes(rng, cp.durations)
-    # Coarse grids make distinct pilot instants collide in later lanes.
+    # Coarse grids make distinct instants of one lane collide in another.
     for step in (0.25, 0.5):
         coarse = tuple(step * round(d / step) for d in cp.durations)
         lanes.append(Lane(durations=coarse))
@@ -168,7 +169,7 @@ class TestRandomDagEquivalence:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_factor_event_lanes_bit_identical(self, seed):
-        """Initial speed factors (the lean path's dynamic case)."""
+        """Initial speed factors (persistent slowdowns)."""
         rng = random.Random(2000 + seed)
         plan = _random_plan(rng)
         cp = compile_plan(plan)
@@ -195,7 +196,7 @@ class TestRandomDagEquivalence:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_engine_fallback_lanes_bit_identical(self, seed):
-        """Timed perturbations and failures delegate to the real engine."""
+        """Timed perturbations and failures, mixed with duration lanes."""
         rng = random.Random(3000 + seed)
         plan = _random_plan(rng)
         cp = compile_plan(plan)
@@ -208,22 +209,30 @@ class TestRandomDagEquivalence:
             time_s = rng.randint(1, 640) / 64.0
             factor = None if rng.random() < 0.3 else 2.0 ** rng.randint(-3, 0)
             lanes.append(Lane(events=(ResourceEvent(time_s, targets, factor),)))
-        # Mixed batch: lean lanes and fallback lanes in one call.
+        # Mixed batch: event lanes and a duration lane in one call.
         lanes.append(Lane(durations=tuple(d * 0.5 for d in cp.durations)))
         results = simulate_batch(cp, lanes)
         for i, (lane, result) in enumerate(zip(lanes, results)):
             _assert_identical(result, _reference(cp, lane), (seed, i))
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_record_trace_lanes_bit_identical(self, seed):
+    def test_traced_engine_runs_match_lanes(self, seed):
+        """Recording a trace changes no time: only the spans differ.
+
+        The batch entry points never record a trace, so a caller that wants
+        spans runs :class:`Simulator` with ``record_trace=True``, and its
+        times must equal the lanes' bit for bit.
+        """
         rng = random.Random(4000 + seed)
-        plan = _random_plan(rng)
-        cp = compile_plan(plan)
+        cp = compile_plan(_random_plan(rng))
         lanes = [Lane(), Lane(durations=tuple(d * 2.0 for d in cp.durations))]
-        results = simulate_batch(cp, lanes, record_trace=True)
+        results = simulate_batch(cp, lanes)
         for i, (lane, result) in enumerate(zip(lanes, results)):
-            _assert_identical(result, _reference(cp, lane, record_trace=True), i)
-            assert result.trace.spans  # the trace actually recorded
+            lane_cp = dataclasses.replace(cp, durations=lane.durations or cp.durations)
+            traced = Simulator(record_trace=True).run(lane_cp)
+            _assert_same_times(result, traced, (seed, i))
+            assert traced.trace.spans  # the trace actually recorded
+            assert not result.trace.spans
 
     def test_start_time_offset(self):
         rng = random.Random(77)
@@ -240,84 +249,6 @@ class TestRandomDagEquivalence:
         results = simulate_batch(cp, lanes)
         for i, (lane, result) in enumerate(zip(lanes, results)):
             _assert_identical(result, _reference(cp, lane), i)
-
-
-class TestScheduleCapture:
-    """The schedule the engine captures is exactly what replay retraces."""
-
-    def test_replaying_a_capture_reproduces_its_run(self):
-        equal_instant_groups = 0
-        slowed_lanes = 0
-        for factors in (False, True):
-            for seed in range(20):
-                cp, lanes = _zero_heavy_case(seed, factors)
-                for i, lane in enumerate(lanes):
-                    context = (seed, factors, i)
-                    lane_cp = dataclasses.replace(
-                        cp, durations=lane.durations or cp.durations
-                    )
-                    schedule = []
-                    run = _simulate(
-                        lane_cp, lane.events, lane.start_time_s, False, schedule
-                    )
-                    # Capturing does not change the run.
-                    _assert_identical(run, _reference(cp, lane), context)
-                    rates = _lane_rates(cp, lane)
-                    slowed_lanes += bool(rates)
-                    replay = _replay(schedule, lane_cp.durations, rates, cp.plan)
-                    assert replay is not None, context
-                    assert replay.start_times == run.start_times, context
-                    assert replay.end_times == run.end_times, context
-                    assert replay.makespan_s == run.makespan_s, context
-                    times = [run.end_times[done[0]] for done in schedule[2::2]]
-                    equal_instant_groups += sum(
-                        a == b for a, b in zip(times, times[1:])
-                    )
-        # The inputs really exercise the equal-instant rule and the rates.
-        assert equal_instant_groups >= 100
-        assert slowed_lanes >= 100
-
-    def test_equal_instant_rule_rejects_merged_groups(self):
-        """Two pilot instants that coincide in a lane must not replay.
-
-        In the pilot ``x`` takes ``r2`` when ``a`` finishes, before ``b``
-        frees ``y``.  When ``a`` and ``b`` finish together the engine drains
-        them as one group and the higher-priority ``y`` takes ``r2`` first.
-        """
-        plan = ExecutionPlan()
-        a = plan.add("a", TaskKind.OTHER, 1.0, ("r0",))
-        b = plan.add("b", TaskKind.OTHER, 2.0, ("r1",))
-        plan.add("x", TaskKind.OTHER, 5.0, ("r2",), deps=[a], priority=1)
-        plan.add("y", TaskKind.OTHER, 1.0, ("r2",), deps=[b], priority=0)
-        cp = compile_plan(plan)
-        lanes = [Lane(), Lane(durations=(2.0, 2.0, 5.0, 1.0))]
-        with Telemetry(sink=ListSink()) as tele, telemetry_scope(tele):
-            results = simulate_batch(cp, lanes)
-        assert tele.counters["batch_lanes_replayed"] == 0
-        for i, (lane, result) in enumerate(zip(lanes, results)):
-            _assert_identical(result, _reference(cp, lane), i)
-        assert results[1].start_times[3] < results[1].start_times[2]
-
-    def test_failed_replay_lane_becomes_the_pilot(self):
-        plan = ExecutionPlan()
-        a = plan.add("a", TaskKind.OTHER, 1.0, ("r0",))
-        b = plan.add("b", TaskKind.OTHER, 2.0, ("r1",))
-        plan.add("c", TaskKind.OTHER, 1.0, ("r0", "r1"), deps=[a, b])
-        cp = compile_plan(plan)
-        lanes = [
-            Lane(),  # the pilot: a finishes before b
-            Lane(durations=(2.0, 1.0, 1.0)),  # b before a: replay fails
-            Lane(durations=(4.0, 2.0, 2.0)),  # lane 2 scaled: fits its schedule
-        ]
-        with Telemetry(sink=ListSink()) as tele, telemetry_scope(tele):
-            results = simulate_batch(cp, lanes)
-        assert tele.counters["batch_lanes_replayed"] == 1
-        for i, (lane, result) in enumerate(zip(lanes, results)):
-            _assert_identical(result, _reference(cp, lane), i)
-        # Only lane 2's schedule fits lane 3: the first pilot's rejects it.
-        first_pilot = []
-        _simulate(cp, (), 0.0, False, first_pilot)
-        assert _replay(first_pilot, lanes[2].durations, (), plan) is None
 
 
 class TestErrorParity:
@@ -360,66 +291,79 @@ class TestErrorParity:
             assert result.end_times == {}
 
 
-class TestLaneDedup:
-    def test_identical_lanes_collapse_to_one_result(self):
-        rng = random.Random(5)
-        plan = _random_plan(rng)
-        cp = compile_plan(plan)
-        sink = ListSink()
-        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
-            lanes = [Lane() for _ in range(8)]
-            lanes.append(Lane(durations=tuple(d * 0.5 for d in cp.durations)))
-            results = simulate_batch(cp, lanes)
-        # Deduped lanes share one result object; values match sequential.
-        assert all(results[i] is results[0] for i in range(8))
-        assert results[8] is not results[0]
-        for i, lane in enumerate(lanes):
-            _assert_identical(results[i], _reference(cp, lane), i)
-        events = [e for e in sink.events if e["type"] == "batch_simulate"]
-        assert len(events) == 1
-        assert events[0]["lanes"] == 9
-        assert events[0]["deduped"] == 7
-        assert events[0]["structures"] == 1
-        assert tele.counters["batch_lanes"] == 9
-        assert tele.counters["batch_lanes_deduped"] == 7
+class TestSimulateBatch:
+    """Every lane runs the engine's loop on its own durations and events."""
 
-    def test_dedup_off_simulates_every_lane(self):
+    def test_every_lane_reaches_the_engine(self, monkeypatch):
+        import repro.sim.batch as batch
+
         rng = random.Random(6)
         cp = compile_plan(_random_plan(rng))
+        lanes = [Lane(), Lane(), Lane(durations=cp.durations)]
+        reached = []
+        simulate = batch._simulate
+
+        def counting(lane_cp, events, start_time_s, record_trace):
+            reached.append(lane_cp.durations)
+            return simulate(lane_cp, events, start_time_s, record_trace)
+
+        monkeypatch.setattr(batch, "_simulate", counting)
         sink = ListSink()
         with Telemetry(sink=sink) as tele, telemetry_scope(tele):
-            results = simulate_batch(cp, [Lane(), Lane()], dedup=False)
-        assert results[0] is not results[1]
-        assert results[0].end_times == results[1].end_times
-        event = [e for e in sink.events if e["type"] == "batch_simulate"][-1]
-        assert event["deduped"] == 0
+            results = simulate_batch(cp, lanes)
+        # Identical lanes are not collapsed: each one is its own run.
+        assert reached == [cp.durations] * 3
+        assert len({id(result) for result in results}) == 3
+        for i, (lane, result) in enumerate(zip(lanes, results)):
+            _assert_identical(result, _reference(cp, lane), i)
+        assert tele.counters["batch_lanes"] == 3
+        events = [e for e in sink.events if e["type"] == "batch_simulate"]
+        assert [e["lanes"] for e in events] == [3]
 
+    def test_coinciding_completions_drain_as_one_group(self):
+        """Tasks that finish at one instant are dispatched after all of them.
 
-class TestStructureKey:
-    def test_same_structure_different_durations_share_key(self):
-        rng = random.Random(9)
-        plan = _random_plan(rng)
-        cp = compile_plan(plan)
-        variant = dataclasses.replace(
-            cp, durations=tuple(d * 3.0 for d in cp.durations)
-        )
-        assert variant.structure_key == cp.structure_key
-
-    def test_add_invalidates_structure_key(self):
+        With the plan's durations ``x`` takes ``r2`` when ``a`` finishes,
+        before ``b`` frees ``y``.  When ``a`` and ``b`` finish together the
+        engine drains them as one group and the higher-priority ``y`` takes
+        ``r2`` first.
+        """
         plan = ExecutionPlan()
-        plan.add("a", TaskKind.OTHER, 1.0, ("r",))
-        before = compile_plan(plan)
-        plan.add("b", TaskKind.OTHER, 1.0, ("r",))
-        after = compile_plan(plan)
-        assert after is not before
-        assert after.structure_key != before.structure_key
+        a = plan.add("a", TaskKind.OTHER, 1.0, ("r0",))
+        b = plan.add("b", TaskKind.OTHER, 2.0, ("r1",))
+        plan.add("x", TaskKind.OTHER, 5.0, ("r2",), deps=[a], priority=1)
+        plan.add("y", TaskKind.OTHER, 1.0, ("r2",), deps=[b], priority=0)
+        cp = compile_plan(plan)
+        lanes = [Lane(), Lane(durations=(2.0, 2.0, 5.0, 1.0))]
+        results = simulate_batch(cp, lanes)
+        for i, (lane, result) in enumerate(zip(lanes, results)):
+            _assert_identical(result, _reference(cp, lane), i)
+        assert results[0].start_times == {0: 0.0, 1: 0.0, 2: 1.0, 3: 6.0}
+        assert results[0].makespan_s == 7.0
+        assert results[1].start_times == {0: 0.0, 1: 0.0, 2: 3.0, 3: 2.0}
+        assert results[1].makespan_s == 8.0
 
-    def test_different_shape_different_key(self):
-        a = ExecutionPlan()
-        a.add("a", TaskKind.OTHER, 1.0, ("r",))
-        b = ExecutionPlan()
-        b.add("a", TaskKind.OTHER, 1.0, ("r", "s"))
-        assert compile_plan(a).structure_key != compile_plan(b).structure_key
+    def test_lanes_with_different_completion_orders(self):
+        """One lane's order of completions does not leak into the next."""
+        plan = ExecutionPlan()
+        a = plan.add("a", TaskKind.OTHER, 1.0, ("r0",))
+        b = plan.add("b", TaskKind.OTHER, 2.0, ("r1",))
+        plan.add("c", TaskKind.OTHER, 1.0, ("r0", "r1"), deps=[a, b])
+        cp = compile_plan(plan)
+        lanes = [
+            Lane(),  # a finishes before b
+            Lane(durations=(2.0, 1.0, 1.0)),  # b before a
+            Lane(durations=(4.0, 2.0, 2.0)),  # the previous lane, scaled
+        ]
+        results = simulate_batch(cp, lanes)
+        for i, (lane, result) in enumerate(zip(lanes, results)):
+            _assert_identical(result, _reference(cp, lane), i)
+        assert [list(result.end_times) for result in results] == [
+            [0, 1, 2],
+            [1, 0, 2],
+            [1, 0, 2],
+        ]
+        assert [result.makespan_s for result in results] == [3.0, 3.0, 6.0]
 
 
 class TestSimulateMany:
@@ -427,8 +371,8 @@ class TestSimulateMany:
         rng = random.Random(21)
         plan_a = _random_plan(rng)
         plan_b = _random_plan(rng)
-        # Interleave requests over two structures; results must land back
-        # in request order, each identical to its own sequential run.
+        # Interleave requests over two plans; results must land back in
+        # request order, each identical to its own sequential run.
         requests = [
             SimRequest(plan=plan_a),
             SimRequest(plan=plan_b),
@@ -444,19 +388,19 @@ class TestSimulateMany:
             ref = sim.run(request.plan, events=request.events)
             _assert_identical(result, ref, i)
             assert result.plan is request.plan
-        event = [e for e in sink.events if e["type"] == "batch_simulate"][-1]
-        assert event["lanes"] == 5
-        assert event["structures"] == len(
-            {compile_plan(p).structure_key for p in (plan_a, plan_b)}
-        )
+        events = [e for e in sink.events if e["type"] == "batch_simulate"]
+        assert [e["lanes"] for e in events] == [5]
+        assert tele.counters["batch_lanes"] == 5
 
     def test_compiled_plan_requests(self):
         rng = random.Random(22)
         plan = _random_plan(rng)
         cp = compile_plan(plan)
         results = simulate_many([SimRequest(plan=cp), SimRequest(plan=plan)])
-        _assert_identical(results[0], Simulator(record_trace=False).run(cp), 0)
-        assert results[1] is results[0]  # same identity -> deduped
+        reference = Simulator(record_trace=False).run(cp)
+        for i, result in enumerate(results):
+            _assert_identical(result, reference, i)
+            assert result.plan is plan
 
 
 class TestStrategyEquivalence:
@@ -501,7 +445,7 @@ class TestStrategyEquivalence:
         from repro.training.iteration import simulate_iteration, simulate_iterations
 
         strategy = session.strategy("zeppelin")
-        batches = session.batches[:1] * 3  # same batch thrice: dedup regime
+        batches = session.batches[:1] * 3  # same batch thrice: one simulation
         batched = simulate_iterations(strategy, batches)
         # A fresh session's plans carry no memo, so these runs simulate.
         fresh = Session(session.config).strategy("zeppelin")
@@ -653,54 +597,155 @@ class TestMakespanMemo:
         # before the first failure are memo hits, and the hub sees them.
         assert tele.counters["makespan_memo_hits"] > 0
 
+    def test_duplicate_requests_in_one_call_simulate_once(self, monkeypatch):
+        """One call reaches the engine once per distinct state.
+
+        The repeats count as memo hits, and every requester gets the
+        makespan a sequential engine run gives.
+        """
+        import repro.sim.batch as batch
+
+        rng = random.Random(5)
+        plan = _random_plan(rng)
+        slow = (ResourceEvent(0.0, ("res:0",), 0.5),)
+        requests = [SimRequest(plan=plan) for _ in range(8)]
+        requests.append(SimRequest(plan=plan, events=slow))
+        # The compiled form of the same plan is the same state.
+        requests.append(SimRequest(plan=plan.compiled(), events=slow))
+        reached = []
+        simulate = batch._simulate
+
+        def counting(cp, events, start_time_s, record_trace):
+            reached.append((id(cp), tuple(events), start_time_s))
+            return simulate(cp, events, start_time_s, record_trace)
+
+        monkeypatch.setattr(batch, "_simulate", counting)
+        sink = ListSink()
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            makespans = simulate_makespans(requests)
+        assert len(reached) == len(set(reached)) == 2
+        assert tele.counters["makespan_memo_hits"] == 8
+        assert tele.counters["batch_lanes"] == 2
+        kernel = [e for e in sink.events if e["type"] == "batch_simulate"]
+        assert [e["lanes"] for e in kernel] == [2]
+        sim = Simulator(record_trace=False)
+        assert makespans == [
+            sim.run(r.plan, events=r.events).makespan_s for r in requests
+        ]
+        assert makespans[0] != makespans[-1]
+
+    def test_distinct_plans_in_one_state_each_simulate(self, monkeypatch):
+        """Equal events and start time on two plans are two states."""
+        import repro.sim.batch as batch
+
+        rng = random.Random(43)
+        plans = [_random_plan(rng) for _ in range(3)]
+        slow = (ResourceEvent(0.0, ("res:0",), 0.5),)
+        reached = []
+        simulate = batch._simulate
+
+        def counting(cp, events, start_time_s, record_trace):
+            reached.append(cp.plan)
+            return simulate(cp, events, start_time_s, record_trace)
+
+        monkeypatch.setattr(batch, "_simulate", counting)
+        requests = [SimRequest(plan=p, events=slow) for p in plans]
+        with Telemetry() as tele, telemetry_scope(tele):
+            makespans = simulate_makespans(requests)
+        assert len(reached) == 3
+        assert all(got is want for got, want in zip(reached, plans))
+        assert tele.counters["makespan_memo_hits"] == 0
+        sim = Simulator(record_trace=False)
+        assert makespans == [sim.run(p, events=slow).makespan_s for p in plans]
+
+    def test_start_time_is_part_of_the_state(self, monkeypatch):
+        """One plan under one event list, started at two times, runs twice."""
+        import repro.sim.batch as batch
+
+        rng = random.Random(47)
+        plan = _random_plan(rng)
+        events = (ResourceEvent(1.0, ("res:0",), 0.25),)
+        starts = (0.0, 0.5, 0.0)
+        reached = []
+        simulate = batch._simulate
+
+        def counting(cp, events, start_time_s, record_trace):
+            reached.append(start_time_s)
+            return simulate(cp, events, start_time_s, record_trace)
+
+        monkeypatch.setattr(batch, "_simulate", counting)
+        requests = [
+            SimRequest(plan=plan, events=events, start_time_s=s) for s in starts
+        ]
+        with Telemetry() as tele, telemetry_scope(tele):
+            makespans = simulate_makespans(requests)
+        assert reached == [0.0, 0.5]
+        assert tele.counters["makespan_memo_hits"] == 1
+        sim = Simulator(record_trace=False)
+        assert makespans == [
+            sim.run(plan, events=events, start_time_s=s).makespan_s for s in starts
+        ]
+        assert makespans[0] != makespans[1]
+
+    def test_duration_variant_keeps_its_own_memo(self):
+        """A retimed compile shares the lowering of its base, not its memo."""
+        rng = random.Random(41)
+        cp = _random_plan(rng).compiled()
+        base = simulate_makespans([SimRequest(plan=cp)])
+        variant = dataclasses.replace(
+            cp, durations=tuple(2.0 * d + 1.0 for d in cp.durations)
+        )
+        assert cp.makespans and not variant.makespans
+        with Telemetry() as tele, telemetry_scope(tele):
+            retimed = simulate_makespans([SimRequest(plan=variant)])
+        assert tele.counters["makespan_memo_hits"] == 0
+        assert retimed == [Simulator(record_trace=False).run(variant).makespan_s]
+        assert retimed != base
+        assert simulate_makespans([SimRequest(plan=cp)]) == base
+
+    def test_empty_request_list_runs_nothing(self):
+        sink = ListSink()
+        with Telemetry(sink=sink) as tele, telemetry_scope(tele):
+            assert simulate_makespans([]) == []
+        assert not [e for e in sink.events if e["type"] == "batch_simulate"]
+        assert tele.counters.get("batch_lanes", 0) == 0
+        assert tele.counters.get("makespan_memo_hits", 0) == 0
+
+    def test_failed_simulation_enters_no_memo(self):
+        """A state the engine rejects is not remembered, so it raises again."""
+        plan = ExecutionPlan()
+        a = plan.add("a", TaskKind.OTHER, 1.0, ("r",))
+        plan.add("b", TaskKind.OTHER, 1.0, ("r",), deps=[a])
+        broken = dataclasses.replace(compile_plan(plan), dep_counts=(0, 2))
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="unsatisfiable dependency"):
+                simulate_makespans([SimRequest(plan=broken)])
+        assert not broken.makespans
+
     def test_resilience_grid_reaches_the_engine_once_per_state(self, monkeypatch):
         """fig13 simulates each distinct (plan, events, start) exactly once.
 
-        Every simulation request is logged where it enters the kernel
-        (``_simulate_group`` lanes, or a direct ``Simulator.run``); every
-        engine run (``_simulate``) and successful ``_replay`` is counted.
-        A fresh default session pool keeps earlier tests' memos out.
+        Every engine run (``_simulate``, whether a batch entry point or a
+        direct ``Simulator.run`` called it) is logged with its state.  A
+        fresh default session pool keeps earlier tests' memos out.
         """
         import repro.sim.batch as batch
         import repro.sim.engine as engine
         from repro.exec.worker import SessionPool
         from repro.experiments import fig13_resilience
 
-        states: set[tuple] = set()
-        plans: list = []  # keeps every keyed plan alive, so ids stay unique
-        reached = []
+        compiled: list = []  # keeps every keyed compile alive, so ids stay unique
+        reached: list[tuple] = []
 
-        def state(plan, events, start_time_s):
-            plans.append(plan)
-            states.add((id(plan), tuple(events or ()), start_time_s))
+        def counting(cp, events, start_time_s, record_trace):
+            compiled.append(cp)
+            reached.append((id(cp), tuple(events or ()), start_time_s))
+            return simulate(cp, events, start_time_s, record_trace)
 
-        def log_group(cp, lanes, *args):
-            for lane in lanes:
-                plan = lane.plan if lane.plan is not None else cp.plan
-                state(plan, lane.events, lane.start_time_s)
-            return group(cp, lanes, *args)
-
-        def engine_run(cp, events, start_time_s, *args):
-            state(cp.plan, events, start_time_s)
-            reached.append("engine")
-            return simulate(cp, events, start_time_s, *args)
-
-        def kernel_run(*args):
-            reached.append("engine")
-            return simulate(*args)
-
-        def kernel_replay(*args):
-            result = replay(*args)
-            if result is not None:
-                reached.append("replay")
-            return result
-
-        group, simulate, replay = batch._simulate_group, engine._simulate, batch._replay
-        monkeypatch.setattr(batch, "_simulate_group", log_group)
-        monkeypatch.setattr(engine, "_simulate", engine_run)
-        monkeypatch.setattr(batch, "_simulate", kernel_run)
-        monkeypatch.setattr(batch, "_replay", kernel_replay)
+        simulate = engine._simulate
+        monkeypatch.setattr(engine, "_simulate", counting)
+        monkeypatch.setattr(batch, "_simulate", counting)
         monkeypatch.setattr("repro.exec.worker._DEFAULT_POOL", SessionPool())
         fig13_resilience.run(seed=0)
-        assert states
-        assert len(reached) == len(states)
+        assert reached
+        assert len(reached) == len(set(reached))

@@ -140,6 +140,27 @@ class TestMain:
         assert payload["goodput_fraction"] < 1.0
         assert payload["perturbation"]["straggler_frac"] == 0.25
 
+    def test_run_elastic_shrink_to_a_non_dividing_cluster(self, capsys):
+        """Losing one of four nodes leaves 24 GPUs, which do not divide 32k.
+
+        The per-rank budget rounds up, so elastic recovery replans the
+        whole batch onto the three survivors instead of raising
+        ``CapacityError``.
+        """
+        code = main(
+            [
+                "run", "zeppelin",
+                "--model", "3b", "--gpus", "32", "--context-k", "32", "--steps", "2",
+                "--mttf", "40", "--max-failures", "1", "--straggler-frac", "0.125",
+                "--nic-degrade-frac", "0.5", "--recovery", "elastic",
+                "--iterations", "24", "--json",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["final_num_nodes"] == 3
+        assert payload["restart_count"] == 1
+
     def test_run_command_table_output(self, capsys):
         code = main(
             ["run", "zeppelin", "--model", "3b", "--context-k", "32", "--steps", "1"]

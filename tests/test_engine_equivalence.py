@@ -172,8 +172,8 @@ class TestStrategyEquivalence:
         with_new = run(session)
         reference_runs = []
 
-        def reference_many(requests, record_trace=False, **kwargs):
-            simulator = ReferenceSimulator(record_trace=record_trace, exact_drain=True)
+        def reference_many(requests):
+            simulator = ReferenceSimulator(record_trace=False, exact_drain=True)
             reference_runs.extend(requests)
             return [
                 simulator.run(

@@ -333,7 +333,7 @@ class TestExport:
             make_event("job_submit", 0.6, job="j0", attempt=0),
             make_event("job_complete", 0.9, job="j0"),
             make_event("request_complete", 1.0, request=1, vt=1.0, latency_s=0.5),
-            make_event("batch_simulate", 1.1, lanes=64, deduped=12, structures=2),
+            make_event("batch_simulate", 1.1, lanes=64),
             make_event("counter", 1.2, name="points_executed", value=2),
         ]
         summary = summarize_events(events)
@@ -343,12 +343,7 @@ class TestExport:
         assert summary["jobs"]["submitted"] == 1
         assert summary["jobs"]["completed"] == 1
         assert summary["requests"]["completed"] == 1
-        assert summary["batch"] == {
-            "calls": 1,
-            "lanes": 64,
-            "deduped": 12,
-            "structures": 2,
-        }
+        assert summary["batch"] == {"calls": 1, "lanes": 64}
         assert summary["spans"]["sweep/point"]["total_s"] == pytest.approx(0.25)
         report = render_report(summary)
         assert "sweep/point" in report

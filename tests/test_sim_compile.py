@@ -182,9 +182,10 @@ def _brute_force_lowering(plan: ExecutionPlan) -> dict:
     }
 
 
-def _without_plan(cp: CompiledPlan) -> dict:
+def _without_plan(cp: CompiledPlan, *also: str) -> dict:
+    skip = {"plan", *also}
     return {
-        f.name: getattr(cp, f.name) for f in dataclasses.fields(cp) if f.name != "plan"
+        f.name: getattr(cp, f.name) for f in dataclasses.fields(cp) if f.name not in skip
     }
 
 
@@ -222,7 +223,9 @@ class TestCompileProperties:
     def test_structure_ignores_durations_and_survives_a_rebuild(self, rows):
         plan = _build(rows)
         retimed = _build([(n, k, 2.0 * d + 1.0, *rest) for n, k, d, *rest in rows])
-        assert retimed.compiled().structure_key == plan.compiled().structure_key
+        assert _without_plan(retimed.compiled(), "durations") == _without_plan(
+            plan.compiled(), "durations"
+        )
         fresh = ExecutionPlan()
         for t in plan.tasks:
             fresh.add(
