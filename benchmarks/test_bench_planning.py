@@ -1,8 +1,12 @@
 """Benchmark of the planners' hot path: ring costs, routing and remapping.
 
-Prints te_cp's and zeppelin's one-layer plan time (forward plus backward, a
-cold ``Session`` per cell) on one fixed batch — the 7B model's 128k-token
-arxiv batch at seed 0 — for 16, 32, 64 and 128 GPUs.
+Prints the one-layer plan time (forward plus backward, a cold ``Session`` per
+cell) of every strategy that emits rings through the attention engine —
+te_cp, hybrid_dp (the one caller passing ``initial_deps``) and zeppelin — on
+one fixed batch, the 7B model's 128k-token arxiv batch at seed 0, for 16, 32,
+64 and 128 GPUs.  Each cell also prints its plan time per emitted task in
+microseconds, with no floor, so the emission cost per task can be followed
+across changes.
 
 It also holds one floor, measured in the same process: building the G=128
 ring-pair matrices of that batch with the int64 kernel
@@ -30,7 +34,7 @@ from repro.core.zones import Zone
 
 SESSION = dict(model="7b", total_context=128 * 1024, dataset="arxiv", seed=0)
 GPU_COUNTS = (16, 32, 64, 128)
-STRATEGIES = ("te_cp", "zeppelin")
+STRATEGIES = ("te_cp", "hybrid_dp", "zeppelin")
 KERNEL_GROUP_SIZE = 128
 
 # Measured ~37x on a 2-vCPU cloud VM; 10x leaves headroom for slow CI runners.
@@ -121,13 +125,18 @@ def test_bench_planning(benchmark, printed_results):
         "Planning time (7B, 128k-token arxiv batch, seed 0; "
         "forward + backward, cold session)",
         f"  {'GPUs':>5} "
-        + " ".join(f"{name + ' (s)':>14} {'tasks':>7}" for name in STRATEGIES),
+        + " ".join(
+            f"{name + ' (s)':>14} {'tasks':>7} {'us/task':>7}" for name in STRATEGIES
+        ),
     ]
     for num_gpus in GPU_COUNTS:
         cells = [_plan_seconds(name, num_gpus) for name in STRATEGIES]
         lines.append(
             f"  {num_gpus:>5} "
-            + " ".join(f"{seconds:>14.3f} {tasks:>7}" for seconds, tasks in cells)
+            + " ".join(
+                f"{seconds:>14.3f} {tasks:>7} {seconds / tasks * 1e6:>7.2f}"
+                for seconds, tasks in cells
+            )
         )
     for name in STRATEGIES:
         plan_b, total_b = _bytes_per_task(name, GPU_COUNTS[-1])

@@ -18,12 +18,19 @@ Causal balance within a ring comes from the zigzag chunk assignment
 (:mod:`repro.core.chunking`); the per-round work is the exact number of
 mask-visible (query, key) pairs, so tests can check that the per-rank totals
 sum to the monolithic causal cost.
+
+A ring is appended as one block of columns
+(:meth:`~repro.core.plan.ExecutionPlan.extend`), and each recurring
+``(src, dst, payload bytes)`` hop is routed and costed once, as a template
+that every later round replays with its own label and incoming dependency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, chain, compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,6 +141,23 @@ class RingGroup:
         """
         owner = (ring_index - round_index) % self.group_size
         return int(self.pair_matrix[ring_index, owner])
+
+
+class _HopTemplate(NamedTuple):
+    """The tasks of one ring hop as columns, independent of the round.
+
+    A replay names row ``k`` ``names[k][0] + label + names[k][1]``.  With
+    ``deps[k] = (waits, offsets)``, the row depends on the hop's own rows at
+    ``offsets``, preceded by the hop's incoming dependencies if ``waits`` or
+    if it has no ``offsets``.  The last row is the one the receiver waits on.
+    """
+
+    names: tuple[tuple[str, str], ...]
+    kinds: tuple[TaskKind, ...]
+    durations: tuple[float, ...]
+    resources: tuple[tuple[str, ...], ...]
+    ranks: tuple[int, ...]
+    deps: tuple[tuple[bool, tuple[int, ...]], ...]
 
 
 @dataclass
@@ -252,189 +276,188 @@ class AttentionEngine:
         rank_tasks: dict[int, list[int]],
         initial_deps: tuple[int, ...] = (),
     ) -> None:
+        """Emit every round of one ring into ``plan`` as a single block.
+
+        Task ids are known before the block is appended, so each round's rows
+        are built column by column with their dependencies resolved.  A hop
+        replays the :class:`_HopTemplate` built at its ``(src, dst, payload
+        bytes)``'s first occurrence in the ring.
+        """
         ring = group.spec
         g = ring.group_size
-        priority = _PRIORITY[ring.zone]
+        ring_ranks = ring.ranks
         kv_per_token = self.comm.kv_chunk_bytes(spec, 1)
 
         # pairs[i][o]: causal pairs rank i computes against owner o's KV chunks
         # (exact integers, so float() gives the bit-identical durations).
         pairs = group.pair_matrix.tolist()
-        owner_tokens = [group.tokens_of(o) for o in range(g)]
         # Rings repeat few pair counts (60 distinct of te_cp's 16,384 at G=128).
-        durations: dict[int, float] = {}
-        compute_resources = [(ExecutionPlan.compute_resource(r),) for r in ring.ranks]
-        zone = ring.zone.value
+        durations = {
+            p: self.compute.attention_pairs_time(spec, float(p), num_layers=1)
+            * compute_factor
+            for p in set(chain.from_iterable(pairs))
+            if p > 0
+        }
+        payload = [group.tokens_of(o) * kv_per_token * comm_factor for o in range(g)]
+        templates: dict[tuple[int, float], _HopTemplate] = {}
 
-        # recv_ready[i] holds the task id after which rank i holds the payload
-        # for the *next* round (i.e. the hop into rank i has completed).
-        recv_ready: list[int | None] = [None] * g
+        def hop(i: int, nbytes: float) -> _HopTemplate:
+            template = templates[i, nbytes] = self._hop_template(
+                ring_ranks[i], ring_ranks[(i + 1) % g], nbytes, ring_ranks
+            )
+            return template
 
+        compute_resources = [(ExecutionPlan.compute_resource(r),) for r in ring_ranks]
+        rank_tails = [f":rank{r}" for r in ring_ranks]
+        prefix = f"{ring.zone.value}:seq{ring.seq_id}:r"
+        # The block's columns; row k becomes task ``first + k``.
+        first = plan.num_tasks
+        names, kinds, task_durations, resources, deps, ranks = [], [], [], [], [], []
+        attention_ids: list[list[int]] = [[] for _ in range(g)]
+
+        # ready[i]: the dependencies of rank i's work this round -- the hop that
+        # delivered its payload, or ``initial_deps`` in round 0.
+        ready = [tuple(initial_deps)] * g
+        order = list(range(g))
         for round_index in range(g):
-            label = f"{zone}:seq{ring.seq_id}:r{round_index}"
-            for i, rank in enumerate(ring.ranks):
-                round_pairs = pairs[i][(i - round_index) % g]
-                if round_pairs > 0:
-                    ready = recv_ready[i]
-                    deps = list(initial_deps) if ready is None else [ready]
-                    duration = durations.get(round_pairs)
-                    if duration is None:
-                        duration = durations[round_pairs] = (
-                            self.compute.attention_pairs_time(
-                                spec, float(round_pairs), num_layers=1
-                            )
-                            * compute_factor
-                        )
-                    tid = plan.add(
-                        name=f"attn:{label}:rank{rank}",
-                        kind=TaskKind.ATTENTION,
-                        duration_s=duration,
-                        resources=compute_resources[i],
-                        deps=deps,
-                        rank=rank,
-                        priority=priority,
-                    )
-                    rank_tasks[rank].append(tid)
+            label = f"{prefix}{round_index}"
+            # In round k, rank i holds the KV payload owner (i - k) mod G sent.
+            owners = order[g - round_index :] + order[: g - round_index]
+            round_pairs = [row[o] for row, o in zip(pairs, owners)]
+            active = list(compress(order, round_pairs))
+            base = first + len(names)
+            for k, i in enumerate(active, base):
+                attention_ids[i].append(k)
+            head = f"attn:{label}"
+            names.extend([head + rank_tails[i] for i in active])
+            kinds.extend([TaskKind.ATTENTION] * len(active))
+            task_durations.extend([durations[round_pairs[i]] for i in active])
+            resources.extend([compute_resources[i] for i in active])
+            deps.extend([ready[i] for i in active])
+            ranks.extend([ring_ranks[i] for i in active])
 
             if round_index == g - 1:
                 break
 
             # Send the payload each rank currently holds to its successor.
-            new_recv_ready: list[int | None] = [None] * g
-            for i, rank in enumerate(ring.ranks):
-                owner = (i - round_index) % g
-                nbytes = owner_tokens[owner] * kv_per_token * comm_factor
-                dst_rank = ring.ranks[(i + 1) % g]
-                ready = recv_ready[i]
-                deps = list(initial_deps) if ready is None else [ready]
-                hop_end = self._emit_hop(
-                    plan,
-                    src_rank=rank,
-                    dst_rank=dst_rank,
-                    nbytes=nbytes,
-                    ring_ranks=ring.ranks,
-                    deps=deps,
-                    priority=priority,
-                    label=label,
-                )
-                new_recv_ready[(i + 1) % g] = hop_end
-            recv_ready = new_recv_ready
+            hops = [
+                templates.get((i, payload[o])) or hop(i, payload[o])
+                for i, o in zip(order, owners)
+            ]
+            # The round's templates transposed: each field holds one entry per hop.
+            column = _HopTemplate._make(zip(*hops))
+            sizes = map(len, column.kinds)
+            bases = list(accumulate(sizes, initial=first + len(names)))
+            names.extend([h + label + t for parts in column.names for h, t in parts])
+            kinds.extend(chain.from_iterable(column.kinds))
+            task_durations.extend(chain.from_iterable(column.durations))
+            resources.extend(chain.from_iterable(column.resources))
+            deps.extend(
+                [
+                    (incoming if waits else ())
+                    + tuple([hop_base + offset for offset in offsets])
+                    if offsets
+                    else incoming
+                    for rows, incoming, hop_base in zip(column.deps, ready, bases)
+                    for waits, offsets in rows
+                ]
+            )
+            ranks.extend(chain.from_iterable(column.ranks))
+            # Each hop's last row delivers the payload to the next rank.
+            delivered = [(end - 1,) for end in bases[1:]]
+            ready = delivered[-1:] + delivered[:-1]
 
-    def _emit_hop(
+        priority = _PRIORITY[ring.zone]
+        priorities = [priority] * len(names)
+        plan.extend(names, kinds, task_durations, resources, deps, ranks, priorities)
+        for rank, ids in zip(ring_ranks, attention_ids):
+            rank_tasks[rank].extend(ids)
+
+    def _hop_template(
         self,
-        plan: ExecutionPlan,
         src_rank: int,
         dst_rank: int,
         nbytes: float,
         ring_ranks: tuple[int, ...],
-        deps: list[int],
-        priority: int,
-        label: str,
-    ) -> int:
-        """Emit the communication tasks of one ring hop; return the final task id."""
+    ) -> _HopTemplate:
+        """The tasks of one ring hop, to be replayed in every round it recurs.
+
+        Empty and intra-node hops are one task.  An inter-node hop is routed
+        (§3.3) into dispatch, multi-NIC transfer and combine tasks, then a
+        barrier marking the payload delivered at ``dst_rank``.
+        """
+        rows: list[tuple] = []
+
+        def add(head, tail, kind, duration_s, resources, rank, after=(), waits=True):
+            """Add a row waiting on the hop's incoming dependencies (if
+            ``waits``) and on the rows at offsets ``after``; return its offset."""
+            row = ((head, tail), kind, duration_s, resources, rank, (waits, after))
+            rows.append(row)
+            return len(rows) - 1
+
+        pair = f":{src_rank}->{dst_rank}"
         if nbytes <= 0:
-            return plan.add(
-                name=f"hop:{label}:{src_rank}->{dst_rank}:empty",
-                kind=TaskKind.INTRA_COMM,
-                duration_s=0.0,
-                resources=(),
-                deps=deps,
-                rank=src_rank,
-                priority=priority,
+            add("hop:", pair + ":empty", TaskKind.INTRA_COMM, 0.0, (), src_rank)
+        elif self.cluster.same_node(src_rank, dst_rank):
+            nvlink = self._nvlink(src_rank, dst_rank)
+            time_s = self.comm.intra_node_time(nbytes)
+            add("hop:", pair + ":intra", TaskKind.INTRA_COMM, time_s, nvlink, src_rank)
+        else:
+            decision = self.routing.route(src_rank, dst_rank, nbytes, ring_ranks)
+            nic_of = self.cluster.nic_of
+            # Each step's transfer waits on the previous step's transfer that
+            # landed on its sender: a multi-NIC transfer on the dispatch into
+            # its send proxy, a combine on the transfer into its recv proxy.
+            landed: dict[int, int] = {}
+            step_rows: dict[str, list[int]] = {}
+            waited_on: set[int] = set()
+            for step, kind in (
+                ("dispatch", TaskKind.DISPATCH),
+                ("transfer", TaskKind.INTER_COMM),
+                ("combine", TaskKind.COMBINE),
+            ):
+                previous, landed = landed, {}
+                step_rows[step] = []
+                for t in decision.transfers_for_step(step):
+                    if step == "transfer":
+                        duration = self.comm.inter_node_time(t.nbytes, nics=1)
+                        resources = (
+                            ExecutionPlan.nic_resource(nic_of(t.src_rank).nic_id, "tx"),
+                            ExecutionPlan.nic_resource(nic_of(t.dst_rank).nic_id, "rx"),
+                        )
+                    else:
+                        duration = self.comm.intra_node_time(t.nbytes)
+                        resources = self._nvlink(t.src_rank, t.dst_rank)
+                    after = (previous[t.src_rank],) if t.src_rank in previous else ()
+                    waited_on.update(after)
+                    tail = f":{t.src_rank}->{t.dst_rank}"
+                    row = add(
+                        f"{step}:", tail, kind, duration, resources, t.src_rank, after
+                    )
+                    landed[t.dst_rank] = row
+                    step_rows[step].append(row)
+            # The barrier marking the payload delivered at the destination waits
+            # on every combine and on any transfer that landed there directly.
+            end_rows = step_rows["combine"] + [
+                row for row in step_rows["transfer"] if row not in waited_on
+            ]
+            add(
+                "hop:",
+                pair + ":done",
+                TaskKind.INTER_COMM,
+                0.0,
+                (),
+                dst_rank,
+                after=tuple(end_rows),
+                waits=not end_rows,
             )
-        if self.cluster.same_node(src_rank, dst_rank):
-            duration = self.comm.intra_node_time(nbytes)
-            return plan.add(
-                name=f"hop:{label}:{src_rank}->{dst_rank}:intra",
-                kind=TaskKind.INTRA_COMM,
-                duration_s=duration,
-                resources=(
-                    ExecutionPlan.nvlink_resource(src_rank, "tx"),
-                    ExecutionPlan.nvlink_resource(dst_rank, "rx"),
-                ),
-                deps=deps,
-                rank=src_rank,
-                priority=priority,
-            )
+        return _HopTemplate(*zip(*rows))
 
-        decision = self.routing.route(src_rank, dst_rank, nbytes, ring_ranks=ring_ranks)
-        transfer_deps: dict[tuple[int, int], int] = {}
-        final_ids: list[int] = []
-
-        for t in decision.transfers_for_step("dispatch"):
-            tid = plan.add(
-                name=f"dispatch:{label}:{t.src_rank}->{t.dst_rank}",
-                kind=TaskKind.DISPATCH,
-                duration_s=self.comm.intra_node_time(t.nbytes),
-                resources=(
-                    ExecutionPlan.nvlink_resource(t.src_rank, "tx"),
-                    ExecutionPlan.nvlink_resource(t.dst_rank, "rx"),
-                ),
-                deps=deps,
-                rank=t.src_rank,
-                priority=priority,
-            )
-            transfer_deps[(t.dst_rank, t.src_rank)] = tid
-
-        # Map: recv proxy rank -> id of the inter-node transfer task landing there.
-        transfer_by_recv_proxy: dict[int, int] = {}
-        for t in decision.transfers_for_step("transfer"):
-            src_nic = self.cluster.nic_of(t.src_rank)
-            dst_nic = self.cluster.nic_of(t.dst_rank)
-            t_deps = list(deps)
-            key = (t.src_rank, src_rank)
-            if key in transfer_deps:
-                t_deps.append(transfer_deps[key])
-            tid = plan.add(
-                name=f"transfer:{label}:{t.src_rank}->{t.dst_rank}",
-                kind=TaskKind.INTER_COMM,
-                duration_s=self.comm.inter_node_time(t.nbytes, nics=1),
-                resources=(
-                    ExecutionPlan.nic_resource(src_nic.nic_id, "tx"),
-                    ExecutionPlan.nic_resource(dst_nic.nic_id, "rx"),
-                ),
-                deps=t_deps,
-                rank=t.src_rank,
-                priority=priority,
-            )
-            transfer_by_recv_proxy[t.dst_rank] = tid
-            final_ids.append(tid)
-
-        combine_ids: list[int] = []
-        consumed_transfers: set[int] = set()
-        for t in decision.transfers_for_step("combine"):
-            c_deps = list(deps)
-            if t.src_rank in transfer_by_recv_proxy:
-                dep_tid = transfer_by_recv_proxy[t.src_rank]
-                c_deps.append(dep_tid)
-                consumed_transfers.add(dep_tid)
-            tid = plan.add(
-                name=f"combine:{label}:{t.src_rank}->{t.dst_rank}",
-                kind=TaskKind.COMBINE,
-                duration_s=self.comm.intra_node_time(t.nbytes),
-                resources=(
-                    ExecutionPlan.nvlink_resource(t.src_rank, "tx"),
-                    ExecutionPlan.nvlink_resource(t.dst_rank, "rx"),
-                ),
-                deps=c_deps,
-                rank=t.src_rank,
-                priority=priority,
-            )
-            combine_ids.append(tid)
-
-        # Barrier marking the hop complete at the destination: all combines plus
-        # any transfer that landed directly on the destination rank.
-        end_deps = combine_ids + [
-            tid for tid in final_ids if tid not in consumed_transfers
-        ]
-        return plan.add(
-            name=f"hop:{label}:{src_rank}->{dst_rank}:done",
-            kind=TaskKind.INTER_COMM,
-            duration_s=0.0,
-            resources=(),
-            deps=end_deps if end_deps else deps,
-            rank=dst_rank,
-            priority=priority,
+    @staticmethod
+    def _nvlink(src_rank: int, dst_rank: int) -> tuple[str, str]:
+        return (
+            ExecutionPlan.nvlink_resource(src_rank, "tx"),
+            ExecutionPlan.nvlink_resource(dst_rank, "rx"),
         )
 
     # -- local queue --------------------------------------------------------------------

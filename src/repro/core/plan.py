@@ -4,9 +4,11 @@ A plan is a DAG of tasks.  Each task has a fixed duration (computed
 analytically by the strategy from the cost models), a set of *resources* it
 must hold exclusively while running (a GPU compute stream, a NIC direction, an
 NVSwitch port), and dependencies on earlier tasks.  The plan stores its tasks
-as parallel columns (one entry per task id), checks each task as
-:meth:`ExecutionPlan.add` appends it, and materialises read-only :class:`Task`
-rows only when :attr:`ExecutionPlan.tasks` is read.  The
+as parallel columns (one entry per task id) with one write path:
+:meth:`ExecutionPlan.extend` checks a block of rows, then appends all of them
+(or, if any row is malformed, none), and :meth:`ExecutionPlan.add` is its
+one-row case.  Read-only :class:`Task` rows are materialised only when
+:attr:`ExecutionPlan.tasks` is read.  The
 discrete-event simulator (:mod:`repro.sim.engine`) schedules tasks greedily as
 their dependencies complete and their resources free up, which is exactly how
 overlap between computation and communication arises in the real system's
@@ -26,7 +28,10 @@ the Cluster A "2 GPUs share one NIC" bottleneck.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import count
+from math import inf
 
 
 class TaskKind(enum.Enum):
@@ -98,8 +103,9 @@ class ExecutionPlan:
     :mod:`repro.training.iteration` scales the simulated layer time to the full
     model.
 
-    :meth:`add` alone appends to the task columns (one entry per task id),
-    which :mod:`repro.sim.compile` and the engine read directly.
+    :meth:`extend` alone appends to the task columns (one entry per task
+    id), which :mod:`repro.sim.compile` and the engine read directly;
+    :meth:`add` appends one task through it.
     """
 
     def __init__(self, name: str = "plan", metadata: dict | None = None) -> None:
@@ -128,33 +134,68 @@ class ExecutionPlan:
         priority: int = 0,
     ) -> int:
         """Append a task and return its id; a rejected task changes nothing."""
-        task_id = len(self._names)
-        deps = tuple(deps)
-        for d in deps:
-            if d < 0 or d >= task_id:
+        return self.extend(
+            [name], [kind], [duration_s], [tuple(resources)], [deps], [rank], [priority]
+        ).start
+
+    def extend(
+        self,
+        names: Sequence[str],
+        kinds: Sequence[TaskKind],
+        durations_s: Sequence[float],
+        resources: Sequence[tuple[str, ...]],
+        deps: Sequence[Sequence[int]],
+        ranks: Sequence[int],
+        priorities: Sequence[int],
+    ) -> range:
+        """Append a block of tasks given as columns and return their ids.
+
+        Row ``k`` of the block becomes task ``num_tasks + k``, so a row may
+        depend on earlier rows of the same block.  Every row is checked (a
+        finite, non-negative duration; dependencies on earlier tasks only)
+        before any is appended: a rejected block changes nothing.  Resource
+        names are interned in first-use order, exactly as one :meth:`add`
+        per row would intern them.
+        """
+        first = len(self._names)
+        n = len(names)
+        columns = (kinds, durations_s, resources, deps, ranks, priorities)
+        if any(len(column) != n for column in columns):
+            raise ValueError("every column of a block must have one entry per task")
+        deps = list(map(tuple, deps))
+        resources = list(map(tuple, resources))
+        for task_id, duration_s, task_deps in zip(count(first), durations_s, deps):
+            for d in task_deps:
+                if d < 0 or d >= task_id:
+                    raise ValueError(
+                        f"dependency {d} of task {task_id} does not refer to an "
+                        f"earlier task"
+                    )
+            if not 0.0 <= duration_s < inf:
                 raise ValueError(
-                    f"dependency {d} of task {task_id} does not refer to an "
-                    f"earlier task"
+                    f"duration_s must be finite and >= 0, got {duration_s!r}"
                 )
-        if duration_s < 0:
-            raise ValueError(f"duration_s must be >= 0, got {duration_s!r}")
+        # Each distinct resource tuple, in first-appearance order, interns its
+        # names: the same first-use order as interning row by row.
+        interned = dict.fromkeys(resources)
         index = self.resource_index
-        rids = tuple([index.setdefault(r, len(index)) for r in resources])
-        self._resources.append(rids)
-        self._names.append(name)
-        self._kinds.append(kind)
-        self._durations.append(duration_s)
-        self._deps.append(deps)
-        self._ranks.append(rank)
-        self._priorities.append(priority)
+        for held in interned:
+            interned[held] = tuple([index.setdefault(r, len(index)) for r in held])
+        self._resources.extend(map(interned.__getitem__, resources))
+        self._names.extend(names)
+        self._kinds.extend(kinds)
+        self._durations.extend(durations_s)
+        self._deps.extend(deps)
+        self._ranks.extend(ranks)
+        self._priorities.extend(priorities)
         self._tasks = None
         self._compiled = None
-        return task_id
+        return range(first, first + n)
 
     @property
     def tasks(self) -> tuple[Task, ...]:
         """The tasks as frozen :class:`Task` rows, built on first read and
-        cached until the next :meth:`add`."""
+        cached until the next append."""
         if self._tasks is None:
             names = tuple(self.resource_index)
             columns = zip(
@@ -179,8 +220,8 @@ class ExecutionPlan:
 
         Built on first use and cached on the plan object, so every simulation
         of a memoised plan (session plan caches, sweep pools, resilience
-        iterations) shares one compile.  :meth:`add` drops the cache, and it
-        is the only way to change a plan.
+        iterations) shares one compile.  An append drops the cache, and
+        appending is the only way to change a plan.
         """
         from repro.sim.compile import compile_plan
 
@@ -215,7 +256,7 @@ class ExecutionPlan:
         return max(finish, default=0.0)
 
     def validate(self) -> None:
-        """A no-op: :meth:`add` rejects every malformed task as it arrives."""
+        """A no-op: :meth:`extend` rejects every malformed task as it arrives."""
 
     # -- resource helpers --------------------------------------------------------
 

@@ -17,7 +17,9 @@ exactly their deficit.  The paper solves this with Gurobi; we use
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 from scipy import sparse
@@ -66,30 +68,36 @@ class RemapPlan:
             [cell * bytes_per_token for cell in row] for row in self.transfer_tokens
         ]
 
+    def nonzero_transfers(self) -> Iterator[tuple[int, int, float]]:
+        """``(i, j, tokens)`` for every nonzero cell of :attr:`transfer_tokens`,
+        in row-major order; zero cells are skipped in C, so a plan that moves
+        ``k`` of its ``n * n`` cells costs ``O(n + k)`` Python steps."""
+        columns = range(len(self.ranks))
+        for i, row in enumerate(self.transfer_tokens):
+            for j in compress(columns, row):
+                yield i, j, row[j]
+
     def inverse(self) -> "RemapPlan":
         """The plan restoring the original layout (the transposed transfer)."""
         n = len(self.ranks)
-        transposed = tuple(
-            tuple(self.transfer_tokens[j][i] for j in range(n)) for i in range(n)
-        )
+        transposed = [[0.0] * n for _ in range(n)]
+        for i, j, tokens in self.nonzero_transfers():
+            transposed[j][i] = tokens
         return RemapPlan(
             ranks=self.ranks,
             current=self.target,
             target=self.current,
-            transfer_tokens=transposed,
+            transfer_tokens=tuple(map(tuple, transposed)),
             max_rank_cost_s=self.max_rank_cost_s,
             solver=self.solver,
         )
 
     def resulting_tokens(self) -> list[float]:
         """Token count per rank after applying the plan (must equal ``target``)."""
-        n = len(self.ranks)
         result = [float(c) for c in self.current]
-        for i in range(n):
-            for j in range(n):
-                moved = self.transfer_tokens[i][j]
-                result[i] -= moved
-                result[j] += moved
+        for i, j, moved in self.nonzero_transfers():
+            result[i] -= moved
+            result[j] += moved
         return result
 
 

@@ -169,38 +169,35 @@ class Strategy(abc.ABC):
         bytes_per_token = hidden_bytes_per_token(self.spec) * comm_factor
         incoming: dict[int, list[int]] = {r: [] for r in remap_plan.ranks}
         ranks = remap_plan.ranks
-        for i, src in enumerate(ranks):
-            for j, dst in enumerate(ranks):
-                tokens = remap_plan.transfer_tokens[i][j]
-                if tokens <= 0 or src == dst:
-                    continue
-                nbytes = tokens * bytes_per_token
-                if self.cluster.same_node(src, dst):
-                    duration = self.comm.intra_node_time(nbytes)
-                    resources = (
-                        ExecutionPlan.nvlink_resource(src, "tx"),
-                        ExecutionPlan.nvlink_resource(dst, "rx"),
-                    )
-                    kind = TaskKind.REMAP
-                else:
-                    src_nic = self.cluster.nic_of(src).nic_id
-                    dst_nic = self.cluster.nic_of(dst).nic_id
-                    duration = self.comm.inter_node_time(nbytes, nics=1)
-                    resources = (
-                        ExecutionPlan.nic_resource(src_nic, "tx"),
-                        ExecutionPlan.nic_resource(dst_nic, "rx"),
-                    )
-                    kind = TaskKind.REMAP
-                tid = plan.add(
-                    name=f"{label}:{src}->{dst}:{int(tokens)}tok",
-                    kind=kind,
-                    duration_s=duration,
-                    resources=resources,
-                    deps=tuple(deps_per_rank.get(src, [])),
-                    rank=src,
-                    priority=_REMAP_PRIORITY,
+        for i, j, tokens in remap_plan.nonzero_transfers():
+            src, dst = ranks[i], ranks[j]
+            if tokens <= 0 or src == dst:
+                continue
+            nbytes = tokens * bytes_per_token
+            if self.cluster.same_node(src, dst):
+                duration = self.comm.intra_node_time(nbytes)
+                resources = (
+                    ExecutionPlan.nvlink_resource(src, "tx"),
+                    ExecutionPlan.nvlink_resource(dst, "rx"),
                 )
-                incoming[dst].append(tid)
+            else:
+                src_nic = self.cluster.nic_of(src).nic_id
+                dst_nic = self.cluster.nic_of(dst).nic_id
+                duration = self.comm.inter_node_time(nbytes, nics=1)
+                resources = (
+                    ExecutionPlan.nic_resource(src_nic, "tx"),
+                    ExecutionPlan.nic_resource(dst_nic, "rx"),
+                )
+            tid = plan.add(
+                name=f"{label}:{src}->{dst}:{int(tokens)}tok",
+                kind=TaskKind.REMAP,
+                duration_s=duration,
+                resources=resources,
+                deps=tuple(deps_per_rank.get(src, [])),
+                rank=src,
+                priority=_REMAP_PRIORITY,
+            )
+            incoming[dst].append(tid)
         return incoming
 
     def emit_all_to_all(

@@ -10,9 +10,9 @@ freezes those columns and adds what the engine needs on top:
   one numpy pass;
 * the dispatch tie-break key ``(priority, task_id)`` of every task.
 
-Compiling checks nothing: :meth:`ExecutionPlan.add` rejected every malformed
-task as it arrived.  The result is cached on the plan object (dropped by
-:meth:`ExecutionPlan.add`); because :class:`repro.api.Session` memoises plans
+Compiling checks nothing: :meth:`ExecutionPlan.extend` rejected every
+malformed task as it arrived.  The result is cached on the plan object
+(dropped by every append); because :class:`repro.api.Session` memoises plans
 per (strategy, batch, phase) and ``repro.exec``'s ``SessionPool`` shares
 sessions across sweep points, one compile serves every perturbation state
 that plan is simulated under.  The compile also carries :attr:`makespans`,
@@ -76,7 +76,7 @@ def compile_plan(plan: ExecutionPlan) -> CompiledPlan:
     """Lower ``plan`` to a :class:`CompiledPlan`, reusing the cached compile.
 
     The cache lives on the plan object itself (``plan._compiled``) and is
-    dropped whenever :meth:`ExecutionPlan.add` appends a task.  Callers
+    dropped whenever :meth:`ExecutionPlan.extend` appends tasks.  Callers
     normally go through :meth:`ExecutionPlan.compiled`.
     """
     compiled = plan._compiled

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from repro.cluster.presets import cluster_a
-from repro.core.remapping import RemappingLayer
+from repro.core.remapping import RemappingLayer, RemapPlan
 
 
 def tokens_dict(cluster, values):
@@ -218,3 +218,48 @@ class TestLastPlanReuse:
         rescaled = layer.plan(changed, bytes_per_token=2048.0)
         assert len(calls) == 3
         assert rescaled.max_rank_cost_s != first.max_rank_cost_s
+
+
+# Transfer matrices as solvers leave them: mostly +0.0 cells, a few positive.
+_SPARSE_MATRICES = st.integers(1, 12).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.just(0.0) | st.floats(1e-6, 1e6) | st.integers(1, 10**6).map(float),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+class TestNonzeroTransfers:
+    """The sparse walks equal the dense n*n loops they replace, bit for bit."""
+
+    @staticmethod
+    def _plan(matrix):
+        n = len(matrix)
+        return RemapPlan(
+            ranks=tuple(range(n)),
+            current=tuple(range(100, 100 + n)),
+            target=tuple([100] * n),
+            transfer_tokens=tuple(map(tuple, matrix)),
+            max_rank_cost_s=0.0,
+            solver="greedy",
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SPARSE_MATRICES)
+    def test_sparse_walks_match_the_dense_loops(self, matrix):
+        plan = self._plan(matrix)
+        n = len(matrix)
+        cells = [(i, j, matrix[i][j]) for i in range(n) for j in range(n)]
+        assert list(plan.nonzero_transfers()) == [c for c in cells if c[2] != 0]
+        dense = [float(c) for c in plan.current]
+        for i, j, moved in cells:
+            dense[i] -= moved
+            dense[j] += moved
+        assert [x.hex() for x in plan.resulting_tokens()] == [x.hex() for x in dense]
+        transposed = tuple(tuple(matrix[j][i] for j in range(n)) for i in range(n))
+        assert plan.inverse().transfer_tokens == transposed

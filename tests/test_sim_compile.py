@@ -1,6 +1,7 @@
 """Tests for the compiled-plan representation (:mod:`repro.sim.compile`)."""
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -60,8 +61,19 @@ class TestCompiledPlan:
             (1.0, [4]),  # self dependency: the next task id is 4
             (1.0, [-1]),  # negative dependency
             (-1.0, [0]),  # negative duration
+            (math.nan, [0]),  # would never drain from the engine's heap
+            (math.inf, [0]),
+            (-math.inf, [0]),
         ],
-        ids=["forward-dep", "self-dep", "negative-dep", "negative-duration"],
+        ids=[
+            "forward-dep",
+            "self-dep",
+            "negative-dep",
+            "negative-duration",
+            "nan-duration",
+            "inf-duration",
+            "negative-inf-duration",
+        ],
     )
     def test_add_rejects_malformed_task_and_leaves_plan_unchanged(
         self, duration_s, deps
@@ -187,6 +199,86 @@ def _without_plan(cp: CompiledPlan, *also: str) -> dict:
     return {
         f.name: getattr(cp, f.name) for f in dataclasses.fields(cp) if f.name not in skip
     }
+
+
+def _columns(rows) -> list[list]:
+    """Rows ``(name, kind, duration, resources, deps, rank, priority)`` as the
+    seven columns :meth:`ExecutionPlan.extend` takes."""
+    return [list(column) for column in zip(*rows)] if rows else [[]] * 7
+
+
+def _stored(plan: ExecutionPlan) -> tuple:
+    """Everything a plan stores: its seven columns and its interned resources."""
+    return (
+        list(plan._names),
+        list(plan._kinds),
+        list(plan._durations),
+        list(plan._resources),
+        list(plan._deps),
+        list(plan._ranks),
+        list(plan._priorities),
+        list(plan.resource_index.items()),
+    )
+
+
+# A malformed row for task ``tid``: (duration, deps).
+BAD_ROWS = {
+    "forward-dep": lambda tid: (1.0, [tid + 1]),
+    "self-dep": lambda tid: (1.0, [tid]),
+    "negative-dep": lambda tid: (1.0, [-1]),
+    "negative-duration": lambda tid: (-1.0, []),
+    "nan-duration": lambda tid: (math.nan, []),
+    "inf-duration": lambda tid: (math.inf, []),
+    "negative-inf-duration": lambda tid: (-math.inf, []),
+}
+
+
+class TestBlockAppend:
+    @settings(max_examples=100, deadline=None)
+    @given(TASK_ROWS, st.lists(st.integers(0, 60), max_size=6))
+    def test_blocks_equal_one_add_per_row(self, rows, cuts):
+        """Rows cut into blocks (empty ones included) build the plan that one
+        ``add()`` per row builds: columns, interning order and compile."""
+        one_by_one = _build(rows)
+        blocked = ExecutionPlan()
+        bounds = [0, *sorted(c % (len(rows) + 1) for c in cuts), len(rows)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            assert blocked.extend(*_columns(rows[lo:hi])) == range(lo, hi)
+        assert _stored(blocked) == _stored(one_by_one)
+        assert blocked.tasks == one_by_one.tasks
+        assert _without_plan(blocked.compiled()) == _without_plan(one_by_one.compiled())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        TASK_ROWS,
+        TASK_ROWS,
+        st.integers(0, 60),
+        st.sampled_from(sorted(BAD_ROWS)),
+    )
+    def test_a_bad_row_rejects_its_whole_block(self, prefix, block, k, bad):
+        """A block whose k-th row is malformed raises and leaves the plan, its
+        interned resources and its cached compile as they were."""
+        plan = _build(prefix)
+        cached = plan.compiled()
+        before = _stored(plan)
+        first = len(prefix)
+        k %= len(block) + 1
+        rows = [
+            (name, kind, duration, resources, [first + d for d in deps], rank, priority)
+            for name, kind, duration, resources, deps, rank, priority in block
+        ]
+        duration, deps = BAD_ROWS[bad](first + k)
+        rows.insert(k, ("bad", TaskKind.OTHER, duration, ("fresh:0",), deps, -1, 0))
+        with pytest.raises(ValueError):
+            plan.extend(*_columns(rows))
+        assert _stored(plan) == before
+        assert plan.compiled() is cached
+
+    def test_columns_of_unequal_length_are_rejected(self):
+        plan = _diamond_plan()
+        with pytest.raises(ValueError, match="one entry per task"):
+            plan.extend(["x", "y"], [TaskKind.OTHER], [0.0], [()], [()], [-1], [0])
+        assert plan.num_tasks == 4
 
 
 class TestCompileProperties:
