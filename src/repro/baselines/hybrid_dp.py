@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.attention_engine import AttentionEngine, RingGroup
 from repro.core.chunking import zigzag_assignment
@@ -69,13 +70,6 @@ class MicroBatch:
     cp_groups: list[tuple[Sequence, tuple[int, ...]]] = field(default_factory=list)
     dp_sequences: dict[int, list[Sequence]] = field(default_factory=dict)
 
-    def tokens_on_rank(self, rank: int) -> int:
-        tokens = sum(s.length for s in self.dp_sequences.get(rank, []))
-        for seq, ranks in self.cp_groups:
-            if rank in ranks:
-                tokens += seq.length // len(ranks)
-        return tokens
-
 
 @dataclass
 class HybridAssignment:
@@ -91,12 +85,16 @@ class HybridAssignment:
     def num_cp_groups(self) -> int:
         return sum(len(mb.cp_groups) for mb in self.micro_batches)
 
-    def tokens_per_rank(self, all_ranks: tuple[int, ...]) -> dict[int, int]:
-        totals = {rank: 0 for rank in all_ranks}
-        for mb in self.micro_batches:
-            for rank in all_ranks:
-                totals[rank] += mb.tokens_on_rank(rank)
-        return totals
+
+class HybridLayout(NamedTuple):
+    """Hybrid DP's plan of one batch, shared by its forward and backward pass."""
+
+    assignment: HybridAssignment
+    rings: list[list[RingGroup]]
+    """Per micro-batch: the ring of each CP group, in ``cp_groups`` order."""
+    tokens: list[dict[int, int]]
+    """Per micro-batch: the tokens each DP rank processes, its exact zigzag
+    share of every ring it joins plus its whole DP sequences."""
 
 
 @STRATEGIES.register(
@@ -242,28 +240,15 @@ class HybridDPStrategy(Strategy):
 
     # -- Strategy interface --------------------------------------------------------------
 
-    def plan_layer(self, batch: Batch, phase: str = "forward") -> ExecutionPlan:
-        plan = ExecutionPlan(name=f"hybrid_dp:{phase}")
-        plan.metadata["strategy"] = self.name
-        plan.metadata["phase"] = phase
-        plan.metadata["total_tokens"] = batch.total_tokens
-
-        compute_factor, comm_factor = self.phase_factors(phase)
+    def build_layout(self, batch: Batch) -> HybridLayout:
         assignment = self.assign(batch)
-        plan.metadata["num_micro_batches"] = assignment.num_micro_batches
-        plan.metadata["num_cp_groups"] = assignment.num_cp_groups
-
-        all_ranks = self.context.dp_ranks
-        barrier_deps: list[int] = []
+        rings: list[list[RingGroup]] = []
+        tokens: list[dict[int, int]] = []
         ring_id = 0
-
         for mb in assignment.micro_batches:
-            mb_task_ids: list[int] = []
-            rank_tasks: dict[int, list[int]] = {r: list(barrier_deps) for r in self.cluster.iter_ranks()}
-            mb_tokens: dict[int, int] = {rank: 0 for rank in all_ranks}
-
+            mb_rings = []
+            mb_tokens = {rank: 0 for rank in self.context.dp_ranks}
             for seq, group_ranks in mb.cp_groups:
-                group_size = len(group_ranks)
                 spec = RingSpec(
                     ring_id=ring_id,
                     seq_id=seq.seq_id,
@@ -274,10 +259,37 @@ class HybridDPStrategy(Strategy):
                     seq_len=seq.length,
                 )
                 ring_id += 1
-                assignments = tuple(zigzag_assignment(seq.length, group_size))
-                group = RingGroup(spec=spec, assignments=assignments)
+                assignments = tuple(zigzag_assignment(seq.length, len(group_ranks)))
+                mb_rings.append(RingGroup(spec=spec, assignments=assignments))
+                for rank, a in zip(group_ranks, assignments):
+                    mb_tokens[rank] += a.tokens
+            for rank, seqs in mb.dp_sequences.items():
+                mb_tokens[rank] += sum(s.length for s in seqs)
+            rings.append(mb_rings)
+            tokens.append(mb_tokens)
+        return HybridLayout(assignment, rings, tokens)
+
+    def plan_layer(self, batch: Batch, phase: str = "forward") -> ExecutionPlan:
+        plan = ExecutionPlan(name=f"hybrid_dp:{phase}")
+        plan.metadata["strategy"] = self.name
+        plan.metadata["phase"] = phase
+        plan.metadata["total_tokens"] = batch.total_tokens
+
+        compute_factor, comm_factor = self.phase_factors(phase)
+        layout = self.layout(batch)
+        plan.metadata["num_micro_batches"] = layout.assignment.num_micro_batches
+        plan.metadata["num_cp_groups"] = layout.assignment.num_cp_groups
+
+        barrier_deps: list[int] = []
+        for mb, mb_rings, mb_tokens in zip(
+            layout.assignment.micro_batches, layout.rings, layout.tokens
+        ):
+            mb_task_ids: list[int] = []
+            rank_tasks: dict[int, list[int]] = {r: list(barrier_deps) for r in self.cluster.iter_ranks()}
+
+            for group in mb_rings:
                 before = plan.num_tasks
-                self.engine._emit_ring(
+                self.engine.emit_ring(
                     plan,
                     group,
                     self.spec,
@@ -287,8 +299,6 @@ class HybridDPStrategy(Strategy):
                     initial_deps=tuple(barrier_deps),
                 )
                 mb_task_ids.extend(range(before, plan.num_tasks))
-                for i, rank in enumerate(group_ranks):
-                    mb_tokens[rank] += assignments[i].tokens
 
             for rank, seqs in mb.dp_sequences.items():
                 if not seqs:
@@ -309,11 +319,10 @@ class HybridDPStrategy(Strategy):
                 )
                 rank_tasks[rank].append(tid)
                 mb_task_ids.append(tid)
-                mb_tokens[rank] += sum(s.length for s in seqs)
 
             # Linear modules of this micro-batch on each rank's (unbalanced)
             # token count; MoE expert imbalance inflates the slowest rank.
-            linear_tokens = dict(mb_tokens)
+            linear_tokens = mb_tokens
             if self.spec.is_moe:
                 linear_tokens = {
                     rank: int(round(tokens * _MOE_IMBALANCE_FACTOR))

@@ -34,6 +34,24 @@ class LlamaCPStrategy(Strategy):
 
     name = "LLaMA CP"
 
+    def build_layout(self, batch: Batch) -> tuple[dict[int, float], dict[int, int]]:
+        """Per DP rank: the causal pairs its zigzag query shard sees in the
+        full KV, and the tokens of that shard."""
+        ranks = self.context.dp_ranks
+        group_size = len(ranks)
+        pairs_per_rank = {rank: 0.0 for rank in ranks}
+        tokens_per_rank = {rank: 0 for rank in ranks}
+        for seq in batch:
+            assignments = zigzag_assignment(seq.length, group_size)
+            for i, rank in enumerate(ranks):
+                a = assignments[i]
+                tokens_per_rank[rank] += a.tokens
+                for q_chunk in (a.head_chunk, a.tail_chunk):
+                    pairs_per_rank[rank] += causal_pairs_between(
+                        q_chunk, (0, seq.length)
+                    )
+        return pairs_per_rank, tokens_per_rank
+
     def plan_layer(self, batch: Batch, phase: str = "forward") -> ExecutionPlan:
         plan = ExecutionPlan(name=f"llama_cp:{phase}")
         plan.metadata["strategy"] = self.name
@@ -43,6 +61,7 @@ class LlamaCPStrategy(Strategy):
         ranks = self.context.dp_ranks
         group_size = len(ranks)
         compute_factor, comm_factor = self.phase_factors(phase)
+        pairs_per_rank, tokens_per_rank = self.layout(batch)
 
         # Each rank contributes its local KV shard to the all-gather.  The
         # collective is a standard NCCL ring whose path crosses each node
@@ -69,18 +88,6 @@ class LlamaCPStrategy(Strategy):
 
         # Attention: each rank attends its query shard against the full KV.
         rank_tasks: dict[int, list[int]] = {r: [] for r in self.cluster.iter_ranks()}
-        pairs_per_rank = {rank: 0.0 for rank in ranks}
-        tokens_per_rank = {rank: 0 for rank in ranks}
-        for seq in batch:
-            assignments = zigzag_assignment(seq.length, group_size)
-            for i, rank in enumerate(ranks):
-                a = assignments[i]
-                tokens_per_rank[rank] += a.tokens
-                for q_chunk in (a.head_chunk, a.tail_chunk):
-                    pairs_per_rank[rank] += causal_pairs_between(
-                        q_chunk, (0, seq.length)
-                    )
-
         for rank in ranks:
             pairs = pairs_per_rank[rank]
             if pairs <= 0:

@@ -59,6 +59,9 @@ class PackingStrategy(Strategy):
             per_rank[ranks[i % len(ranks)]].append(buf)
         return per_rank
 
+    # The per-rank buffers are the whole phase-independent half of the plan.
+    build_layout = pack
+
     def attention_seconds(self, buffer: PackedBuffer) -> float:
         """Attention time of one packed buffer under the configured mask."""
         pairs = buffer.attention_cost_tokens_sq(self.cross_sequence_attention)
@@ -73,32 +76,26 @@ class PackingStrategy(Strategy):
         plan.metadata["total_tokens"] = batch.total_tokens
 
         compute_factor, comm_factor = self.phase_factors(phase)
-        per_rank = self.pack(batch)
+        per_rank = self.layout(batch)
         rank_tasks: dict[int, list[int]] = {r: [] for r in self.cluster.iter_ranks()}
         tokens_per_rank: dict[int, int] = {}
 
-        # Optional Ulysses all-to-all before attention (head <-> sequence swap).
+        # Optional Ulysses all-to-all before attention (head <-> sequence swap),
+        # and back after it, in each group of ``ulysses_degree`` DP ranks.
+        ranks = self.context.dp_ranks
+        groups = [
+            group
+            for i in range(0, len(ranks), self.ulysses_degree)
+            if len(group := ranks[i : i + self.ulysses_degree]) >= 2
+        ]
+        per_rank_bytes = hidden_bytes_per_token(self.spec) * self.context.token_budget
         a2a_ids: dict[int, int] = {}
-        if self.ulysses_degree > 1:
-            groups = [
-                self.context.dp_ranks[i : i + self.ulysses_degree]
-                for i in range(0, len(self.context.dp_ranks), self.ulysses_degree)
-            ]
-            per_rank_bytes = (
-                hidden_bytes_per_token(self.spec) * self.context.token_budget
-            )
-            for group in groups:
-                if len(group) < 2:
-                    continue
-                ids = self.emit_all_to_all(
-                    plan,
-                    tuple(group),
-                    per_rank_bytes,
-                    {},
-                    label="ulysses_a2a_in",
-                    phase=phase,
+        for group in groups:
+            a2a_ids.update(
+                self.emit_all_to_all(
+                    plan, group, per_rank_bytes, {}, label="ulysses_a2a_in", phase=phase
                 )
-                a2a_ids.update(ids)
+            )
 
         for rank, buffers in per_rank.items():
             tokens_per_rank[rank] = sum(b.used for b in buffers)
@@ -117,26 +114,15 @@ class PackingStrategy(Strategy):
             )
             rank_tasks[rank].append(tid)
 
-        # Ulysses all-to-all back after attention.
-        if self.ulysses_degree > 1:
-            groups = [
-                self.context.dp_ranks[i : i + self.ulysses_degree]
-                for i in range(0, len(self.context.dp_ranks), self.ulysses_degree)
-            ]
-            per_rank_bytes = (
-                hidden_bytes_per_token(self.spec) * self.context.token_budget
+        for group in groups:
+            self.emit_all_to_all(
+                plan,
+                group,
+                per_rank_bytes,
+                rank_tasks,
+                label="ulysses_a2a_out",
+                phase=phase,
             )
-            for group in groups:
-                if len(group) < 2:
-                    continue
-                self.emit_all_to_all(
-                    plan,
-                    tuple(group),
-                    per_rank_bytes,
-                    rank_tasks,
-                    label="ulysses_a2a_out",
-                    phase=phase,
-                )
 
         self.emit_linear(plan, tokens_per_rank, rank_tasks, phase=phase)
         return plan

@@ -113,14 +113,17 @@ class TransformerEngineCPStrategy(Strategy):
         )
         return BatchRingGroup(spec=batch_spec, per_sequence=tuple(per_sequence))
 
-    def tokens_per_rank(self, batch: Batch) -> dict[int, int]:
-        """Even split: every DP rank holds ``total_tokens / world`` tokens."""
-        return self._ring_tokens(self.build_global_ring(batch))
-
-    def _ring_tokens(self, ring: BatchRingGroup) -> dict[int, int]:
-        return {
+    def build_layout(self, batch: Batch) -> tuple[BatchRingGroup, dict[int, int]]:
+        """The global ring and the tokens each DP rank holds on it."""
+        ring = self.build_global_ring(batch)
+        tokens = {
             rank: ring.tokens_of(i) for i, rank in enumerate(self.context.dp_ranks)
         }
+        return ring, tokens
+
+    def tokens_per_rank(self, batch: Batch) -> dict[int, int]:
+        """Even split: every DP rank holds ``total_tokens / world`` tokens."""
+        return self.layout(batch)[1]
 
     # -- Strategy interface ---------------------------------------------------------------
 
@@ -130,12 +133,12 @@ class TransformerEngineCPStrategy(Strategy):
         plan.metadata["phase"] = phase
         plan.metadata["total_tokens"] = batch.total_tokens
 
-        ring = self.build_global_ring(batch)
+        ring, tokens = self.layout(batch)
         rank_tasks: dict[int, list[int]] = {r: [] for r in self.cluster.iter_ranks()}
         compute_factor, comm_factor = self.phase_factors(phase)
-        self.engine._emit_ring(
+        self.engine.emit_ring(
             plan, ring, self.spec, compute_factor, comm_factor, rank_tasks
         )
 
-        self.emit_linear(plan, self._ring_tokens(ring), rank_tasks, phase=phase)
+        self.emit_linear(plan, tokens, rank_tasks, phase=phase)
         return plan

@@ -2,8 +2,8 @@
 
 Given a :class:`~repro.core.partitioner.PartitionResult`, the engine builds the
 three sequence queues each device executes — inter-node rings, intra-node
-rings, and local sequences — and emits the corresponding task graph for one
-transformer layer:
+rings, and local sequences — and emits the corresponding task graph of one
+transformer layer from them, once per pass over the same queues:
 
 * ring groups execute ``G`` rounds; in round ``k`` every rank computes the
   causal-visible attention pairs between its query chunks and the KV chunks it
@@ -39,18 +39,14 @@ from repro.core.chunking import ChunkAssignment, contiguous_assignment, zigzag_a
 from repro.core.partitioner import PartitionResult, Placement, RingSpec
 from repro.core.plan import ExecutionPlan, TaskKind
 from repro.core.routing import RoutingLayer
+from repro.core.strategy import Strategy
 from repro.core.zones import Zone
 from repro.costs.comm import CommCostModel
 from repro.costs.compute import ComputeCostModel
 from repro.model.spec import TransformerSpec
-from repro.utils.validation import check_in
 
 # Queue priorities: lower starts first on a busy compute stream.
 _PRIORITY = {Zone.INTER_NODE: 0, Zone.INTRA_NODE: 1, Zone.LOCAL: 2}
-
-# Backward passes move gradients of KV alongside KV and roughly double compute.
-_BACKWARD_COMPUTE_FACTOR = 2.0
-_BACKWARD_COMM_FACTOR = 2.0
 
 
 def causal_pairs_between(
@@ -171,9 +167,6 @@ class SequenceQueues:
     def all_rings(self) -> list[RingGroup]:
         return list(self.inter) + list(self.intra)
 
-    def local_tokens(self, rank: int) -> int:
-        return sum(p.tokens for p in self.local.get(rank, []))
-
 
 @dataclass
 class AttentionEngine:
@@ -226,38 +219,20 @@ class AttentionEngine:
     def emit_attention(
         self,
         plan: ExecutionPlan,
-        partition: PartitionResult,
+        queues: SequenceQueues,
         spec: TransformerSpec,
         phase: str = "forward",
     ) -> dict[int, list[int]]:
-        """Emit the attention tasks of one layer into ``plan``.
+        """Emit the attention tasks of one layer's ``queues`` into ``plan``.
 
         Returns a mapping from global rank to the ids of the attention tasks
         attributed to that rank, so downstream stages (remapping, linear
         modules) can depend on them.
         """
-        check_in("phase", phase, ("forward", "backward"))
-        queues = self.build_queues(partition)
-        return self.emit_queues(plan, queues, spec, phase)
-
-    def emit_queues(
-        self,
-        plan: ExecutionPlan,
-        queues: SequenceQueues,
-        spec: TransformerSpec,
-        phase: str = "forward",
-    ) -> dict[int, list[int]]:
-        """Emit tasks for pre-built queues (used by baselines sharing the engine)."""
-        check_in("phase", phase, ("forward", "backward"))
-        compute_factor = 1.0 if phase == "forward" else _BACKWARD_COMPUTE_FACTOR
-        comm_factor = 1.0 if phase == "forward" else _BACKWARD_COMM_FACTOR
-
+        compute_factor, comm_factor = Strategy.phase_factors(phase)
         rank_tasks: dict[int, list[int]] = {r: [] for r in self.cluster.iter_ranks()}
-
-        for group in queues.inter:
-            self._emit_ring(plan, group, spec, compute_factor, comm_factor, rank_tasks)
-        for group in queues.intra:
-            self._emit_ring(plan, group, spec, compute_factor, comm_factor, rank_tasks)
+        for group in chain(queues.inter, queues.intra):
+            self.emit_ring(plan, group, spec, compute_factor, comm_factor, rank_tasks)
         for rank, placements in queues.local.items():
             self._emit_local(
                 plan, rank, placements, spec, compute_factor, rank_tasks
@@ -266,7 +241,7 @@ class AttentionEngine:
 
     # -- ring emission ----------------------------------------------------------------
 
-    def _emit_ring(
+    def emit_ring(
         self,
         plan: ExecutionPlan,
         group: RingGroup,

@@ -18,7 +18,7 @@ exactly their deficit.  The paper solves this with Gurobi; we use
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -116,7 +116,6 @@ class RemappingLayer:
 
     cluster: Cluster
     solver: str = "auto"
-    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_in("solver", self.solver, ("linprog", "greedy", "auto"))
@@ -142,18 +141,8 @@ class RemappingLayer:
         """Build the balancing plan for the given per-rank token counts.
 
         ``bytes_per_token`` scales the cost matrix into seconds (it does not
-        change the optimal transfer pattern, only the reported cost).  The
-        layer keeps its last plan, so a forward and a backward pass over one
-        partition solve the LP once.
+        change the optimal transfer pattern, only the reported cost).
         """
-        key = (tuple(sorted(tokens_per_rank.items())), bytes_per_token)
-        if self._last is None or self._last[0] != key:
-            self._last = (key, self._plan(tokens_per_rank, bytes_per_token))
-        return self._last[1]
-
-    def _plan(
-        self, tokens_per_rank: dict[int, int], bytes_per_token: float
-    ) -> RemapPlan:
         check_non_negative("bytes_per_token", bytes_per_token)
         ranks = tuple(sorted(tokens_per_rank))
         current = np.array([tokens_per_rank[r] for r in ranks], dtype=float)

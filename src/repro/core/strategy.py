@@ -6,6 +6,14 @@ strategies (Zeppelin and the baselines) emit an :class:`ExecutionPlan` for one
 transformer layer; the simulator times the plan and
 :mod:`repro.training.iteration` scales it to a full iteration.
 
+Planning a batch has two halves.  The *layout* (:meth:`Strategy.build_layout`)
+is everything that depends only on the batch: which rank holds which tokens,
+the ring queues and their chunk assignments, the remapping decision.  The
+*emission* (:meth:`Strategy.plan_layer`) turns a layout into one pass's tasks;
+the backward pass differs from the forward pass only by
+:meth:`Strategy.phase_factors`.  :meth:`Strategy.layout` keeps the last
+batch's layout, so a forward and a backward pass over one batch build it once.
+
 Tensor parallelism is modelled at the logical-rank level: with
 ``tensor_parallel = t`` every ``t`` consecutive GPUs form one logical data/
 context-parallel rank whose compute throughput is the aggregate of its GPUs
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Any
 
 from repro.cluster.topology import Cluster
 from repro.core.plan import ExecutionPlan, TaskKind
@@ -33,6 +42,7 @@ from repro.utils.validation import check_in, check_positive
 _LINEAR_PRIORITY = 3
 _REMAP_PRIORITY = 3
 
+# Backward passes move gradients of KV alongside KV and roughly double compute.
 _BACKWARD_COMPUTE_FACTOR = 2.0
 _BACKWARD_COMM_FACTOR = 2.0
 
@@ -101,12 +111,31 @@ class Strategy(abc.ABC):
         self.spec = context.spec
         self.compute = context.compute_model()
         self.comm = context.comm_model()
+        self._layout: tuple[Batch, Any] | None = None
 
     # -- interface --------------------------------------------------------------
 
     @abc.abstractmethod
     def plan_layer(self, batch: Batch, phase: str = "forward") -> ExecutionPlan:
         """Emit the task graph of one transformer layer for ``batch``."""
+
+    def build_layout(self, batch: Batch) -> Any:
+        """The phase-independent half of planning ``batch``.
+
+        Strategies that split planning override this and read it through
+        :meth:`layout`; a strategy that plans in one step needs neither.
+        """
+        raise NotImplementedError(f"{type(self).__name__} builds no layout")
+
+    def layout(self, batch: Batch) -> Any:
+        """:meth:`build_layout` of ``batch``, kept for the last batch asked.
+
+        The memo is keyed by the batch itself: its equality covers the
+        sequence ids that task names embed, so a miss is never wrong.
+        """
+        if self._layout is None or self._layout[0] != batch:
+            self._layout = (batch, self.build_layout(batch))
+        return self._layout[1]
 
     def describe(self) -> str:
         """One-line description used in experiment output."""

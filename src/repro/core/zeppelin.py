@@ -17,14 +17,31 @@ Configuration                     routing    partitioner  remapping
 
 from __future__ import annotations
 
-from repro.core.attention_engine import AttentionEngine
+from dataclasses import dataclass
+
+from repro.core.attention_engine import AttentionEngine, SequenceQueues
 from repro.core.partitioner import PartitionResult, SequencePartitioner
 from repro.core.plan import ExecutionPlan
-from repro.core.remapping import RemappingLayer
+from repro.core.remapping import RemappingLayer, RemapPlan
 from repro.core.routing import RoutingLayer
 from repro.core.strategy import Strategy, StrategyContext
 from repro.data.sampler import Batch
+from repro.model.memory import hidden_bytes_per_token
 from repro.registry import STRATEGIES
+
+
+@dataclass(frozen=True)
+class ZeppelinLayout:
+    """Zeppelin's plan of one batch, shared by its forward and backward pass."""
+
+    partition: PartitionResult
+    queues: SequenceQueues
+    linear_tokens: dict[int, int]
+    """Tokens each rank's linear modules process (remapped, if ``remap``)."""
+    remap: RemapPlan | None = None
+    """The remapping applied before the linear modules, when it pays off."""
+    remap_inverse: RemapPlan | None = None
+    """The transfer restoring the attention layout after them."""
 
 
 @STRATEGIES.register(
@@ -47,8 +64,13 @@ class ZeppelinStrategy(Strategy):
         super().__init__(context)
         self.use_routing = use_routing
         self.use_remapping = use_remapping
+        # The partitioner sees the physical cluster.  With tensor parallelism
+        # a reduced view of ``gpus_per_node / tp`` devices per node would be
+        # the faithful mapping, but the paper's TP experiments fix ``tp = 2``
+        # with partitioning still per physical node, so the planner places
+        # work only on DP endpoint ranks via the token budget.
         self.partitioner = SequencePartitioner(
-            cluster=self._dp_view(), token_budget=context.token_budget
+            cluster=self.cluster, token_budget=context.token_budget
         )
         self.routing = RoutingLayer(cluster=self.cluster, enabled=use_routing)
         self.engine = AttentionEngine(
@@ -67,50 +89,21 @@ class ZeppelinStrategy(Strategy):
         if disabled:
             self.name = f"Zeppelin ({', '.join(disabled)})"
 
-    # -- helpers ---------------------------------------------------------------
-
-    def _dp_view(self):
-        """The cluster as seen by the partitioner.
-
-        With tensor parallelism, the partitioner operates over logical ranks.
-        We keep the physical cluster (logical rank == first GPU of the TP
-        group) when ``tensor_parallel == 1``; for larger TP degrees a reduced
-        cluster view with ``gpus_per_node / tp`` devices per node would be the
-        faithful mapping, but the paper's TP experiments fix ``tp = 2`` with
-        the partitioning still operating per physical node, so we reuse the
-        physical topology and have the planner place work only on DP endpoint
-        ranks via the token budget.
-        """
-        return self.cluster
-
     def partition(self, batch: Batch) -> PartitionResult:
         """Run the hierarchical partitioner on a batch (exposed for inspection)."""
         return self.partitioner.partition(batch)
 
     # -- Strategy interface ------------------------------------------------------
 
-    def plan_layer(self, batch: Batch, phase: str = "forward") -> ExecutionPlan:
-        plan = ExecutionPlan(name=f"zeppelin:{phase}")
+    def build_layout(self, batch: Batch) -> ZeppelinLayout:
         partition = self.partitioner.partition(batch)
-        plan.metadata["partition"] = partition
-        plan.metadata["total_tokens"] = batch.total_tokens
-        plan.metadata["strategy"] = self.name
-        plan.metadata["phase"] = phase
-
-        # 1. Attention: hierarchical queues + (optionally routed) ring rounds.
-        attn_tasks = self.engine.emit_attention(plan, partition, self.spec, phase=phase)
-
-        # 2. Linear modules, optionally remapped to a token-balanced layout.
+        queues = self.engine.build_queues(partition)
+        tokens_per_rank = partition.tokens_per_rank()
         # Remapping is only worth its two alltoallv transfers when the time the
         # slowest rank saves in the linear modules exceeds the transfer cost
         # (§3.4: "minimal overhead").
-        tokens_per_rank = partition.tokens_per_rank()
-        apply_remap = False
-        remap_plan = None
         if self.use_remapping:
-            from repro.model.memory import hidden_bytes_per_token
-
-            remap_plan = self.remapping.plan(
+            remap = self.remapping.plan(
                 tokens_per_rank, bytes_per_token=hidden_bytes_per_token(self.spec)
             )
             counts = list(tokens_per_rank.values())
@@ -118,33 +111,53 @@ class ZeppelinStrategy(Strategy):
             linear_saving = self.compute.linear_time(
                 self.spec, int(imbalance_tokens), num_layers=1
             )
-            apply_remap = (
-                remap_plan.total_moved_tokens > 0
-                and linear_saving > 2.0 * remap_plan.max_rank_cost_s
-            )
-        if apply_remap:
-            incoming = self.emit_remap(
-                plan, remap_plan, attn_tasks, phase=phase, label="remap_fwd"
-            )
-            linear_tokens = {
-                rank: int(round(tokens))
-                for rank, tokens in zip(remap_plan.ranks, remap_plan.resulting_tokens())
-            }
-            linear_deps = {
-                rank: attn_tasks.get(rank, []) + incoming.get(rank, [])
-                for rank in tokens_per_rank
-            }
-            linear_ids = self.emit_linear(plan, linear_tokens, linear_deps, phase=phase)
-            # 3. Inverse remapping restores the attention layout.
-            inverse = remap_plan.inverse()
-            linear_dep_lists = {
-                rank: [tid] for rank, tid in linear_ids.items()
-            }
-            self.emit_remap(
-                plan, inverse, linear_dep_lists, phase=phase, label="remap_bwd"
-            )
-            plan.metadata["remap_plan"] = remap_plan
-        else:
-            self.emit_linear(plan, tokens_per_rank, attn_tasks, phase=phase)
+            if (
+                remap.total_moved_tokens > 0
+                and linear_saving > 2.0 * remap.max_rank_cost_s
+            ):
+                linear_tokens = {
+                    rank: int(round(tokens))
+                    for rank, tokens in zip(remap.ranks, remap.resulting_tokens())
+                }
+                return ZeppelinLayout(
+                    partition, queues, linear_tokens, remap, remap.inverse()
+                )
+        return ZeppelinLayout(partition, queues, tokens_per_rank)
 
+    def plan_layer(self, batch: Batch, phase: str = "forward") -> ExecutionPlan:
+        layout = self.layout(batch)
+        plan = ExecutionPlan(name=f"zeppelin:{phase}")
+        plan.metadata["partition"] = layout.partition
+        plan.metadata["total_tokens"] = batch.total_tokens
+        plan.metadata["strategy"] = self.name
+        plan.metadata["phase"] = phase
+
+        # 1. Attention: hierarchical queues + (optionally routed) ring rounds.
+        attn_tasks = self.engine.emit_attention(
+            plan, layout.queues, self.spec, phase=phase
+        )
+        if layout.remap is None:
+            self.emit_linear(plan, layout.linear_tokens, attn_tasks, phase=phase)
+            return plan
+
+        # 2. Linear modules on the token-balanced layout the remap moves to.
+        incoming = self.emit_remap(
+            plan, layout.remap, attn_tasks, phase=phase, label="remap_fwd"
+        )
+        linear_deps = {
+            rank: attn_tasks.get(rank, []) + incoming.get(rank, [])
+            for rank in layout.linear_tokens
+        }
+        linear_ids = self.emit_linear(
+            plan, layout.linear_tokens, linear_deps, phase=phase
+        )
+        # 3. Inverse remapping restores the attention layout.
+        self.emit_remap(
+            plan,
+            layout.remap_inverse,
+            {rank: [tid] for rank, tid in linear_ids.items()},
+            phase=phase,
+            label="remap_bwd",
+        )
+        plan.metadata["remap_plan"] = layout.remap
         return plan

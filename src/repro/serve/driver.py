@@ -20,6 +20,7 @@ byte-identical results.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 
 from repro.api import DEFAULT_COMPARISON, Session
 from repro.dynamics.recovery import scale_session
@@ -28,7 +29,7 @@ from repro.obs.sketch import LatencySketch, WindowedRate
 from repro.results import ServeResult
 from repro.serve.arrivals import ClosedLoopClient, Request
 from repro.serve.batcher import Batcher, ExecutionBatch
-from repro.serve.metrics import QueueDepthTracker, request_counters
+from repro.serve.metrics import QueueDepthTracker
 from repro.serve.queue import AdmissionContext, RequestQueue
 from repro.serve.scale import ScaleContext
 from repro.serve.spec import ServeSpec
@@ -79,6 +80,9 @@ class ServeSimulation:
         )
         self.scale_up_count = 0
         self.scale_down_count = 0
+        # How requests end, tallied as they end: completions by how they were
+        # served (``"simulate"``, ``"batch"`` or ``"cache"``), and sheds.
+        self.completed_by: Counter[str] = Counter()
         self.shed_count = 0
         self.requests: list[Request] = list(
             self.arrival.schedule(self.mix, self.duration_s, seed=session.config.seed)
@@ -316,6 +320,7 @@ class ServeSimulation:
                 now = next_finish
                 _, _, batch = heapq.heappop(in_flight)
                 for request in batch.requests:
+                    self.completed_by[request.served_by] += 1
                     latency = request.latency_s
                     sketch.add(latency)
                     completion_rate.add(now)
@@ -351,7 +356,8 @@ class ServeSimulation:
         good: int,
     ) -> ServeResult:
         makespan_s = max(self.duration_s, end_s)
-        counters = request_counters(self.requests)
+        completed = sketch.count
+        cache_hits = self.completed_by["cache"]
         summary = sketch.summary()
         spec = self.spec
         return ServeResult(
@@ -363,13 +369,13 @@ class ServeSimulation:
             duration_s=round(self.duration_s, 6),
             makespan_s=round(makespan_s, 6),
             num_requests=len(self.requests),
-            completed=counters["completed"],
+            completed=completed,
             simulations=self.batcher.simulations_executed,
-            batched_requests=counters["batched_requests"],
-            cache_hits=counters["cache_hits"],
-            cache_hit_rate=round(counters["cache_hit_rate"], 6),
+            batched_requests=self.completed_by["batch"],
+            cache_hits=cache_hits,
+            cache_hit_rate=round(cache_hits / completed if completed else 0.0, 6),
             offered_rps=round(len(self.requests) / self.duration_s, 6),
-            throughput_rps=round(counters["completed"] / makespan_s, 6),
+            throughput_rps=round(completed / makespan_s, 6),
             goodput_rps=round(good / makespan_s, 6),
             slo_s=self.slo_s,
             mean_latency_s=round(summary["mean_latency_s"], 6),
@@ -380,7 +386,7 @@ class ServeSimulation:
             mean_queue_depth=round(tracker.mean_depth(makespan_s), 6),
             max_queue_depth=tracker.max_depth,
             queue_depth_timeline=tracker.timeline(),
-            shed_count=counters["shed"],
+            shed_count=self.shed_count,
             scale_policy=(
                 self.scale_policy.name if self.scale_policy is not None else None
             ),

@@ -2,17 +2,16 @@
 
 Pure, dependency-free helpers consumed by the serve driver to assemble a
 :class:`~repro.results.ServeResult`: a linear-interpolation percentile (the
-same convention as ``numpy.percentile``), request counters, and a
+same convention as ``numpy.percentile``) and a
 :class:`QueueDepthTracker` that integrates queue depth over virtual time
 (time-weighted mean, maximum, and a compact ``(time, depth)`` timeline).
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.obs.sketch import exact_percentile
-from repro.serve.arrivals import Request
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -62,22 +61,3 @@ class QueueDepthTracker:
     def timeline(self, round_to: int = 6) -> tuple[tuple[float, int], ...]:
         """The ``(time, depth)`` change points, times rounded for stable JSON."""
         return tuple((round(t, round_to), d) for t, d in self._timeline)
-
-
-def request_counters(requests: Sequence[Request]) -> dict[str, Any]:
-    """How requests were served: fresh, batched, cached — or shed.
-
-    Shed requests (``served_by == "shed"``) never execute, so they are
-    excluded from ``completed`` and counted separately.
-    """
-    completed = [r for r in requests if r.finish_s is not None]
-    cache_hits = sum(1 for r in completed if r.served_by == "cache")
-    batched = sum(1 for r in completed if r.served_by == "batch")
-    shed = sum(1 for r in requests if r.served_by == "shed")
-    return {
-        "completed": len(completed),
-        "cache_hits": cache_hits,
-        "batched_requests": batched,
-        "shed": shed,
-        "cache_hit_rate": cache_hits / len(completed) if completed else 0.0,
-    }

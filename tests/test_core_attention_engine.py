@@ -153,7 +153,7 @@ class TestEmission:
         )
         engine = make_engine(cluster_a2)
         plan = ExecutionPlan(name="test")
-        engine.emit_attention(plan, partition, spec_7b)
+        engine.emit_attention(plan, engine.build_queues(partition), spec_7b)
         kinds = {t.kind for t in plan.tasks}
         assert TaskKind.ATTENTION in kinds
         assert TaskKind.INTRA_COMM in kinds or TaskKind.INTER_COMM in kinds
@@ -164,7 +164,7 @@ class TestEmission:
         partition = SequencePartitioner(cluster=cluster_a2, token_budget=4096).partition(batch)
         engine = make_engine(cluster_a2, routing_enabled=True)
         plan = ExecutionPlan(name="routed")
-        engine.emit_attention(plan, partition, spec_7b)
+        engine.emit_attention(plan, engine.build_queues(partition), spec_7b)
         kinds = {t.kind for t in plan.tasks}
         assert TaskKind.DISPATCH in kinds
         assert TaskKind.COMBINE in kinds
@@ -174,7 +174,7 @@ class TestEmission:
         partition = SequencePartitioner(cluster=cluster_a2, token_budget=4096).partition(batch)
         engine = make_engine(cluster_a2, routing_enabled=False)
         plan = ExecutionPlan(name="direct")
-        engine.emit_attention(plan, partition, spec_7b)
+        engine.emit_attention(plan, engine.build_queues(partition), spec_7b)
         kinds = {t.kind for t in plan.tasks}
         assert TaskKind.DISPATCH not in kinds
 
@@ -186,7 +186,7 @@ class TestEmission:
         def makespan(routed):
             engine = make_engine(cluster_a2, routing_enabled=routed)
             plan = ExecutionPlan(name=f"routing={routed}")
-            engine.emit_attention(plan, partition, spec_7b)
+            engine.emit_attention(plan, engine.build_queues(partition), spec_7b)
             return sim.run(plan).makespan_s
 
         assert makespan(True) < makespan(False)
@@ -197,7 +197,7 @@ class TestEmission:
         )
         engine = make_engine(cluster_a2)
         plan = ExecutionPlan(name="local")
-        engine.emit_attention(plan, partition, spec_7b)
+        engine.emit_attention(plan, engine.build_queues(partition), spec_7b)
         comm_time = sum(
             t.duration_s for t in plan.tasks if t.kind.is_communication
         )
@@ -210,8 +210,9 @@ class TestEmission:
         engine = make_engine(cluster_a2)
         fwd = ExecutionPlan(name="fwd")
         bwd = ExecutionPlan(name="bwd")
-        engine.emit_attention(fwd, partition, spec_7b, phase="forward")
-        engine.emit_attention(bwd, partition, spec_7b, phase="backward")
+        queues = engine.build_queues(partition)
+        engine.emit_attention(fwd, queues, spec_7b, phase="forward")
+        engine.emit_attention(bwd, queues, spec_7b, phase="backward")
         fwd_total = sum(t.duration_s for t in fwd.tasks)
         bwd_total = sum(t.duration_s for t in bwd.tasks)
         assert bwd_total > fwd_total
@@ -222,7 +223,7 @@ class TestEmission:
         )
         engine = make_engine(cluster_a2)
         plan = ExecutionPlan(name="attr")
-        rank_tasks = engine.emit_attention(plan, partition, spec_7b)
+        rank_tasks = engine.emit_attention(plan, engine.build_queues(partition), spec_7b)
         for rank, task_ids in rank_tasks.items():
             has_placement = bool(partition.placements.get(rank))
             if task_ids:
@@ -234,4 +235,6 @@ class TestEmission:
         )
         engine = make_engine(cluster_a2)
         with pytest.raises(ValueError):
-            engine.emit_attention(ExecutionPlan(), partition, spec_7b, phase="sideways")
+            engine.emit_attention(
+                ExecutionPlan(), engine.build_queues(partition), spec_7b, phase="sideways"
+            )

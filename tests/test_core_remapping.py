@@ -193,33 +193,6 @@ class TestRemappingProperties:
         np.testing.assert_allclose(plan.resulting_tokens(), mean, atol=1e-4)
 
 
-class TestLastPlanReuse:
-    def test_repeated_inputs_solve_the_lp_once(self, cluster_a2, monkeypatch):
-        calls = []
-        solve = RemappingLayer._solve_linprog
-
-        def counting_solve(*args):
-            calls.append(1)
-            return solve(*args)
-
-        monkeypatch.setattr(
-            RemappingLayer, "_solve_linprog", staticmethod(counting_solve)
-        )
-        layer = RemappingLayer(cluster=cluster_a2)
-        counts = {r: 1000 * (r + 1) for r in cluster_a2.iter_ranks()}
-        first = layer.plan(counts, bytes_per_token=4096.0)
-        # Equal inputs, in another insertion order: the same plan object.
-        again = layer.plan(dict(reversed(counts.items())), bytes_per_token=4096.0)
-        assert again is first
-        assert len(calls) == 1
-        changed = {**counts, 0: counts[0] + 16}
-        assert layer.plan(changed, bytes_per_token=4096.0) is not first
-        assert len(calls) == 2
-        rescaled = layer.plan(changed, bytes_per_token=2048.0)
-        assert len(calls) == 3
-        assert rescaled.max_rank_cost_s != first.max_rank_cost_s
-
-
 # Transfer matrices as solvers leave them: mostly +0.0 cells, a few positive.
 _SPARSE_MATRICES = st.integers(1, 12).flatmap(
     lambda n: st.lists(

@@ -145,7 +145,7 @@ def ring_case_plans() -> dict[str, tuple[ExecutionPlan, dict[int, list[int]]]]:
         plan = ExecutionPlan(name=f"ring:{phase}")
         barrier = plan.add("barrier", TaskKind.OTHER, 0.0)
         rank_tasks: dict[int, list[int]] = {r: [] for r in strategy.cluster.iter_ranks()}
-        strategy.engine._emit_ring(
+        strategy.engine.emit_ring(
             plan,
             group,
             strategy.spec,

@@ -1,15 +1,20 @@
 """Tests for the Zeppelin strategy and the baseline strategies."""
 
+from collections import Counter
+
 import pytest
 
 from repro.baselines.hybrid_dp import HybridDPStrategy
 from repro.baselines.llama_cp import LlamaCPStrategy
 from repro.baselines.packing import PackingStrategy
 from repro.baselines.te_cp import TransformerEngineCPStrategy
+from repro.core import attention_engine
+from repro.core.partitioner import SequencePartitioner
 from repro.core.plan import TaskKind
+from repro.core.remapping import RemappingLayer, RemapPlan
 from repro.core.strategy import StrategyContext
 from repro.core.zeppelin import ZeppelinStrategy
-from repro.data.sampler import Batch
+from repro.data.sampler import Batch, Sequence
 from repro.sim.engine import Simulator
 
 
@@ -113,10 +118,10 @@ class TestHybridDP:
 
     def test_tokens_conserved_across_micro_batches(self, context_16, mixed_batch):
         strategy = HybridDPStrategy(context_16)
-        assignment = strategy.assign(mixed_batch)
-        totals = assignment.tokens_per_rank(context_16.dp_ranks)
-        # Ring chunking rounds down per rank; allow a small remainder loss.
-        assert sum(totals.values()) >= mixed_batch.total_tokens - 64
+        layout = strategy.layout(mixed_batch)
+        assert layout.assignment.num_cp_groups >= 1
+        placed = sum(sum(tokens.values()) for tokens in layout.tokens)
+        assert placed == mixed_batch.total_tokens
 
     def test_plan_simulates(self, context_16, mixed_batch):
         strategy = HybridDPStrategy(context_16)
@@ -206,3 +211,89 @@ class TestZeppelinStrategy:
         plan = ZeppelinStrategy(context_16).plan_layer(mixed_batch)
         assert plan.metadata["total_tokens"] == mixed_batch.total_tokens
         assert plan.metadata["phase"] == "forward"
+
+
+PHASES = ("forward", "backward")
+
+# What each strategy builds for a batch, and the ring-pair kernel under it.
+LAYOUT_BUILDERS = (
+    (SequencePartitioner, "partition"),
+    (RemappingLayer, "plan"),
+    (RemapPlan, "inverse"),
+    (TransformerEngineCPStrategy, "build_global_ring"),
+    (HybridDPStrategy, "assign"),
+    (attention_engine, "ring_pair_matrix"),
+)
+
+STRATEGY_BUILDERS = {
+    TransformerEngineCPStrategy: {"build_global_ring", "ring_pair_matrix"},
+    LlamaCPStrategy: set(),
+    HybridDPStrategy: {"assign", "ring_pair_matrix"},
+    PackingStrategy: set(),
+    ZeppelinStrategy: {"partition", "plan", "inverse", "ring_pair_matrix"},
+}
+
+
+def _task_rows(plan):
+    return [
+        (t.name, t.kind, t.duration_s, t.resources, t.deps, t.rank, t.priority)
+        for t in plan.tasks
+    ]
+
+
+class TestLayout:
+    """Both passes of a batch emit from one layout, built once per batch."""
+
+    @pytest.fixture
+    def builder_calls(self, monkeypatch):
+        calls = Counter()
+        for owner, name in LAYOUT_BUILDERS:
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("cls", list(STRATEGY_BUILDERS), ids=lambda c: c.__name__)
+    def test_a_pass_pair_builds_its_layout_once(
+        self, cls, context_16, mixed_batch, builder_calls
+    ):
+        strategy = cls(context_16)
+        for phase in PHASES:
+            strategy.plan_layer(mixed_batch, phase)
+        paired = dict(builder_calls)
+        assert set(paired) == STRATEGY_BUILDERS[cls]
+        assert all(n == 1 for name, n in paired.items() if name != "ring_pair_matrix")
+
+        # Two cold strategies, one pass each, build everything twice.
+        builder_calls.clear()
+        for phase in PHASES:
+            cls(context_16).plan_layer(mixed_batch, phase)
+        assert dict(builder_calls) == {name: 2 * n for name, n in paired.items()}
+
+    @pytest.mark.parametrize("cls", list(STRATEGY_BUILDERS), ids=lambda c: c.__name__)
+    def test_interleaved_batches_plan_like_cold_pairs(self, cls, context_16, mixed_batch):
+        # Equal lengths under other sequence ids: only the ids tell them apart,
+        # and task names embed them.
+        renumbered = Batch(
+            tuple(Sequence(seq_id=s.seq_id + 100, length=s.length) for s in mixed_batch)
+        )
+        batches = (mixed_batch, renumbered)
+        strategy = cls(context_16)
+        interleaved = {
+            (b, phase): strategy.plan_layer(batches[b], phase)
+            for phase in PHASES
+            for b in range(len(batches))
+        }
+        for b, batch in enumerate(batches):
+            cold = cls(context_16)
+            for phase in PHASES:
+                expected = _task_rows(cold.plan_layer(batch, phase))
+                assert _task_rows(interleaved[b, phase]) == expected, (b, phase)
+        if cls in (HybridDPStrategy, ZeppelinStrategy):  # their ring names carry ids
+            assert _task_rows(interleaved[0, "forward"]) != _task_rows(
+                interleaved[1, "forward"]
+            )
