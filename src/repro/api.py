@@ -111,10 +111,6 @@ class SessionConfig:
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
 
-    def cache_key(self) -> tuple[Any, ...]:
-        """Hashable identity used for plan- and session-cache keys."""
-        return dataclasses.astuple(self)
-
 
 def build_cluster(config: SessionConfig) -> Cluster:
     """Instantiate the cluster preset for a configuration."""
@@ -131,11 +127,6 @@ def build_cluster(config: SessionConfig) -> Cluster:
 def _strategy_key(name: str, kwargs: Mapping[str, Any]) -> tuple[Any, ...]:
     """Hashable identity of one strategy configuration."""
     return (name.lower(), tuple(sorted((k, repr(v)) for k, v in kwargs.items())))
-
-
-def _batch_key(batch: Batch) -> tuple[Any, ...]:
-    """Hashable identity of a batch (plans depend only on the lengths)."""
-    return (batch.dataset, batch.lengths)
 
 
 class _CachedPlanStrategy:
@@ -202,7 +193,7 @@ class Session:
         self._batches: list[Batch] | None = None
         self._strategies: dict[tuple[Any, ...], _CachedPlanStrategy] = {}
         self._plans: dict[tuple[Any, ...], ExecutionPlan] = {}
-        self._children: dict[tuple[Any, ...], "Session"] = {}
+        self._children: dict[SessionConfig, "Session"] = {}
 
     # -- cached building blocks -------------------------------------------------
 
@@ -238,7 +229,9 @@ class Session:
         batch: Batch,
         phase: str,
     ) -> ExecutionPlan:
-        key = (strategy_key, _batch_key(batch), phase)
+        # The frozen batch itself: task names embed its sequence ids, so a
+        # batch of equal lengths but other ids needs its own plan.
+        key = (strategy_key, batch, phase)
         plan = self._plans.get(key)
         if plan is None:
             plan = inner.plan_layer(batch, phase=phase)
@@ -506,13 +499,12 @@ class Session:
         if config == self.config:
             return self
         # Make this session reachable from its descendants before branching.
-        self._children.setdefault(self.config.cache_key(), self)
-        key = config.cache_key()
-        child = self._children.get(key)
+        self._children.setdefault(self.config, self)
+        child = self._children.get(config)
         if child is None:
             child = Session(config)
             child._children = self._children  # share the pool across the family
-            self._children[key] = child
+            self._children[config] = child
         return child
 
     def sweep(

@@ -11,7 +11,9 @@ same number of (query, key) pairs up to edge effects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
+from repro.data.packing import split_evenly
 from repro.utils.validation import check_non_negative, check_positive
 
 
@@ -54,15 +56,8 @@ class ChunkAssignment:
 
 def _chunk_bounds(seq_len: int, num_chunks: int) -> list[tuple[int, int]]:
     """Split ``seq_len`` tokens into ``num_chunks`` near-equal (start, length) chunks."""
-    base = seq_len // num_chunks
-    extra = seq_len % num_chunks
-    bounds = []
-    start = 0
-    for c in range(num_chunks):
-        length = base + (1 if c < extra else 0)
-        bounds.append((start, length))
-        start += length
-    return bounds
+    lengths = split_evenly(seq_len, num_chunks)
+    return list(zip(accumulate(lengths, initial=0), lengths))
 
 
 def zigzag_assignment(seq_len: int, group_size: int) -> list[ChunkAssignment]:

@@ -11,11 +11,12 @@ Three layers:
   straggler distributions.
 * :mod:`repro.dynamics.events` — the cluster-level event vocabulary
   (:class:`GpuSlowdown`, :class:`NicDegrade`, :class:`NodeFailure`) and the
-  :class:`PerturbationSchedule` that compiles it down to engine-level
-  :class:`~repro.sim.events.ResourceEvent` streams.
+  :class:`PerturbationSchedule` whose ``active_factors`` gives the engine
+  the speed map (resource name to factor) in effect at one instant.
 * :mod:`repro.dynamics.recovery` — recovery policies (checkpoint-restart,
   elastic re-partition) and the resilience run driver that walks a global
-  training clock, injecting the schedule and applying the policy on failure.
+  training clock, timing each iteration under the slowdowns active at its
+  start and applying the policy when a node failure lands inside it.
 
 End-to-end entry points: ``Session.run(strategy, perturbation=...)``,
 ``repro run/compare --mttf ... --recovery ...`` and the ``fig13_resilience``

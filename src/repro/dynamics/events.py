@@ -1,20 +1,19 @@
-"""Cluster-level perturbation events and their compiled schedule.
+"""Cluster-level perturbation events and their schedule.
 
-Events speak the cluster's vocabulary (ranks, NICs, nodes); the
-:class:`PerturbationSchedule` compiles them into the engine's resource
-vocabulary (``compute:{rank}``, ``nic:{id}:tx``...) so the discrete-event
-simulator stays ignorant of topology.  All times are absolute seconds on the
-training run's global clock.
+Events speak the cluster's vocabulary (ranks, NICs, nodes).  The
+:class:`PerturbationSchedule` turns the slowdowns in effect at one instant
+into the engine's speed map (``compute:{rank}``, ``nic:{id}:tx``... to a
+factor), so the discrete-event simulator stays ignorant of topology; node
+failures never reach the engine, since the resilience driver charges them
+per iteration.  All times are absolute seconds on the training run's global
+clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from repro.cluster.topology import Cluster
 from repro.core.plan import ExecutionPlan
-from repro.sim.events import ResourceEvent
 from repro.utils.validation import check_non_negative
 
 
@@ -63,30 +62,6 @@ class NodeFailure:
 PerturbationEvent = GpuSlowdown | NicDegrade | NodeFailure
 
 
-def _slowdown_resources(event: GpuSlowdown) -> tuple[str, ...]:
-    return (ExecutionPlan.compute_resource(event.rank),)
-
-
-def _degrade_resources(event: NicDegrade) -> tuple[str, ...]:
-    return (
-        ExecutionPlan.nic_resource(event.nic_id, "tx"),
-        ExecutionPlan.nic_resource(event.nic_id, "rx"),
-    )
-
-
-def _failure_resources(event: NodeFailure, cluster: Cluster) -> tuple[str, ...]:
-    """Every resource hosted on the failed node."""
-    resources: list[str] = []
-    for rank in cluster.ranks_on_node(event.node_id):
-        resources.append(ExecutionPlan.compute_resource(rank))
-        resources.append(ExecutionPlan.nvlink_resource(rank, "tx"))
-        resources.append(ExecutionPlan.nvlink_resource(rank, "rx"))
-    for nic in cluster.nodes[event.node_id].nics:
-        resources.append(ExecutionPlan.nic_resource(nic.nic_id, "tx"))
-        resources.append(ExecutionPlan.nic_resource(nic.nic_id, "rx"))
-    return tuple(resources)
-
-
 @dataclass(frozen=True)
 class PerturbationSchedule:
     """A time-sorted, immutable sequence of perturbation events.
@@ -122,29 +97,9 @@ class PerturbationSchedule:
         """Non-fatal events (GPU stragglers, NIC degradations) in time order."""
         return tuple(e for e in self.events if not isinstance(e, NodeFailure))
 
-    # -- compilation to engine vocabulary ----------------------------------------
+    # -- the engine's speed map --------------------------------------------------
 
-    def resource_events(self, cluster: Cluster) -> tuple[ResourceEvent, ...]:
-        """The full schedule compiled to engine-level resource events."""
-        compiled: list[ResourceEvent] = []
-        for event in self.events:
-            if isinstance(event, GpuSlowdown):
-                compiled.append(
-                    ResourceEvent(event.time_s, _slowdown_resources(event), event.factor)
-                )
-            elif isinstance(event, NicDegrade):
-                compiled.append(
-                    ResourceEvent(event.time_s, _degrade_resources(event), event.factor)
-                )
-            else:
-                compiled.append(
-                    ResourceEvent(
-                        event.time_s, _failure_resources(event, cluster), None
-                    )
-                )
-        return tuple(compiled)
-
-    def active_factors(self, time_s: float, cluster: Cluster) -> dict[str, float]:
+    def active_factors(self, time_s: float) -> dict[str, float]:
         """Speed factor per resource for slowdowns in effect at ``time_s``.
 
         Later events override earlier ones for the same resource; failures are
@@ -155,23 +110,12 @@ class PerturbationSchedule:
             if event.time_s > time_s:
                 break
             if isinstance(event, GpuSlowdown):
-                resources: Iterable[str] = _slowdown_resources(event)
-                factor = event.factor
+                factors[ExecutionPlan.compute_resource(event.rank)] = event.factor
             else:
-                resources = _degrade_resources(event)
-                factor = event.factor
-            for resource in resources:
-                factors[resource] = factor
+                for direction in ("tx", "rx"):
+                    nic = ExecutionPlan.nic_resource(event.nic_id, direction)
+                    factors[nic] = event.factor
         return factors
-
-    def active_resource_events(
-        self, time_s: float, cluster: Cluster
-    ) -> tuple[ResourceEvent, ...]:
-        """Static engine events for the slowdown state in effect at ``time_s``."""
-        return tuple(
-            ResourceEvent(0.0, (resource,), factor)
-            for resource, factor in sorted(self.active_factors(time_s, cluster).items())
-        )
 
     # -- serialisation -----------------------------------------------------------
 

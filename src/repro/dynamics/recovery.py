@@ -242,7 +242,7 @@ def run_resilient(
     iteration_cache: dict[tuple, float] = {}
 
     def iteration_time(nodes: int, batch_index: int, clock: float) -> float:
-        factors = schedule.active_factors(clock, session.cluster)
+        factors = schedule.active_factors(clock)
         key = (nodes, batch_index, tuple(sorted(factors.items())))
         cached = iteration_cache.get(key)
         if cached is None:
@@ -250,7 +250,7 @@ def run_resilient(
             cached = iteration_cache[key] = simulate_iteration(
                 sess.strategy(strategy, **strategy_kwargs),
                 batches[batch_index],
-                schedule.active_resource_events(clock, session.cluster),
+                factors,
             ).iteration_time_s
         return cached
 

@@ -36,16 +36,14 @@ class SessionPool:
 
     def __init__(self, root: Session | None = None):
         self._root = root
-        self._sessions: dict[tuple[Any, ...], Session] = {}
+        self._sessions: dict[SessionConfig, Session] = {}
 
     def get(self, config: SessionConfig) -> Session:
         if self._root is not None:
             return self._root.derive(**config.to_dict())
-        key = config.cache_key()
-        session = self._sessions.get(key)
+        session = self._sessions.get(config)
         if session is None:
-            session = Session(config)
-            self._sessions[key] = session
+            session = self._sessions[config] = Session(config)
         return session
 
     def __len__(self) -> int:

@@ -17,6 +17,7 @@ Module                      Paper artifact
 ``fig11_ablation``          Fig. 11 — component ablation
 ``fig12_timeline``          Fig. 12 — per-round timeline analysis
 ``fig13_resilience``        Fig. 13 (extension) — goodput under injected faults
+``fig14_serving``           Fig. 14 (extension) — closed-loop serving knee
 ``table2_dataset_distributions``  Table 2 — evaluation dataset histograms
 ``table3_cost_distribution``  Table 3 — per-component cost ranges
 ==========================  =====================================================
@@ -32,6 +33,7 @@ __all__ = [
     "fig11_ablation",
     "fig12_timeline",
     "fig13_resilience",
+    "fig14_serving",
     "table2_dataset_distributions",
     "table3_cost_distribution",
 ]

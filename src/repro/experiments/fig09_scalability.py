@@ -1,7 +1,9 @@
 """Fig. 9 — scalability of the LLaMA 3B model on Cluster A.
 
 Throughput versus GPU count (16 to 128) with a fixed 4k tokens per GPU, for
-the three datasets.  The paper's observations this experiment checks:
+the three datasets.  The paper's observations this experiment reports
+(nothing asserts them; ROADMAP item 3 lists those that fail today, such as
+the Hybrid DP bullet on arxiv at 32 GPUs):
 
 * TE CP stays nearly flat (cross-node ring communication bound),
 * LLaMA CP improves but its all-gather volume grows with total context,

@@ -1,7 +1,8 @@
 """Fig. 10 — speedup comparison on Cluster A versus Cluster B.
 
 3B model, 128k total context, 32 GPUs, three datasets, on both cluster
-architectures.  The paper's observations this experiment checks:
+architectures.  The paper's observations this experiment reports
+(nothing asserts them; ROADMAP item 3 lists the last one as failing today):
 
 * Zeppelin wins on both clusters and on every dataset,
 * absolute throughput is higher on Cluster B (Hopper-class GPUs),

@@ -34,22 +34,12 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.exec.spec import SESSION_FIELDS
 from repro.registry import ARRIVALS
 
-# Session-field overrides a cell may carry, beyond the strategy itself.
-# (Mirrors repro.exec.spec.SESSION_FIELDS minus the seed, which belongs to
-# the serve run, not to individual requests.)
-_CELL_OVERRIDE_FIELDS = frozenset(
-    {
-        "model",
-        "cluster_preset",
-        "num_gpus",
-        "dataset",
-        "total_context",
-        "tensor_parallel",
-        "num_steps",
-    }
-)
+# Session-field overrides a cell may carry, beyond the strategy itself: all
+# but the seed, which belongs to the serve run, not to individual requests.
+_CELL_OVERRIDE_FIELDS = frozenset(SESSION_FIELDS) - {"seed"}
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,7 @@
 arrival, admission, concurrency, batching, SLO...) and the closed-loop /
 autoscaling work adds more.  :class:`ServeSpec` packages them the same way
 :class:`~repro.exec.spec.SweepSpec` packages a grid: validated on
-construction, immutable, and with a canonical :meth:`to_dict` /
-:meth:`canonical_json` that is the run's content identity for caching and
-telemetry — two specs with equal canonical JSON describe byte-identical
-runs per seed.
+construction and immutable, with :meth:`~ServeSpec.replace` for variants.
 
 ``Session.serve(spec)`` is the primary signature; the old kwarg form is a
 thin shim that builds a :class:`ServeSpec`, and ``repro serve`` flag parsing
@@ -17,7 +14,6 @@ is likewise re-expressed as spec construction.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -26,15 +22,6 @@ from repro.serve.batcher import DEFAULT_CACHE_HIT_COST_S
 from repro.serve.queue import AdmissionPolicy, as_admission
 from repro.serve.scale import ScalePolicy, as_scale_policy
 from repro.utils.validation import check_non_negative, check_positive
-
-
-def _component_name(value: Any, default: str) -> str:
-    """Canonical registry name of a component argument (instance or str)."""
-    if value is None:
-        return default
-    if isinstance(value, str):
-        return value
-    return getattr(value, "name", type(value).__name__)
 
 
 @dataclass(frozen=True)
@@ -156,62 +143,3 @@ class ServeSpec:
     def replace(self, **overrides: Any) -> "ServeSpec":
         """A copy of this spec with some fields overridden (re-validated)."""
         return dataclasses.replace(self, **overrides)
-
-    # -- canonical identity ------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """Canonical JSON-safe form: the run's content identity (sans seed).
-
-        Component instances collapse to their registry names — configuration
-        carried *inside* an instance (e.g. custom watermarks) is the
-        caller's to track, exactly like strategy instances elsewhere.
-        """
-        return {
-            "mix": self.mix.to_dicts() if self.mix is not None else None,
-            "rate": self.rate,
-            "duration_s": self.duration_s,
-            "arrival": _component_name(self.arrival, "poisson"),
-            "clients": self.clients,
-            "think_time_s": self.think_time_s,
-            "admission": _component_name(self.admission, "fifo"),
-            "concurrency": self.concurrency,
-            "max_batch": self.max_batch,
-            "coalesce_s": self.coalesce_s,
-            "cache": self.cache,
-            "cache_hit_cost_s": self.cache_hit_cost_s,
-            "slo_s": self.slo_s,
-            "scale_policy": (
-                None
-                if self.scale_policy is None
-                else _component_name(self.scale_policy, "")
-            ),
-            "min_gpus": self.min_gpus,
-            "max_gpus": self.max_gpus,
-            "trace_times": list(self.trace_times),
-            "trace_period": self.trace_period,
-        }
-
-    def canonical_json(self) -> str:
-        """Stable JSON identity string (sorted keys, no whitespace)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def describe(self) -> str:
-        """One-line summary for logs and tables."""
-        arrival = _component_name(self.arrival, "poisson")
-        load = (
-            f"{self.clients} clients/think {self.think_time_s:g}s"
-            if arrival == "closed"
-            else f"{self.rate:g} rps"
-        )
-        return (
-            f"ServeSpec({arrival} {load} x {self.duration_s:g}s, "
-            f"admission={_component_name(self.admission, 'fifo')}, "
-            f"concurrency={self.concurrency}, max_batch={self.max_batch}"
-            + (f", slo={self.slo_s:g}s" if self.slo_s is not None else "")
-            + (
-                f", scale={_component_name(self.scale_policy, '')}"
-                if self.scale_policy is not None
-                else ""
-            )
-            + ")"
-        )

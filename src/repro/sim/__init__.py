@@ -6,12 +6,12 @@ streams, NIC directions, NVSwitch ports), and reports the makespan plus
 per-rank / per-kind time accounting.  Overlap between computation and
 communication is not assumed — it emerges from tasks on different resources
 running concurrently, exactly as it does with CUDA streams and NCCL channels
-on real hardware.
+on real hardware.  Stragglers and degraded links reach it as one speed map
+(resource name to a constant factor) per run.
 """
 
 from repro.sim.compile import CompiledPlan, compile_plan
 from repro.sim.engine import Simulator, SimulationResult, simulate
-from repro.sim.events import ResourceEvent
 from repro.sim.trace import Trace, TraceSpan, summarize_trace
 from repro.sim.visualize import render_timeline, timeline_summary_lines
 
@@ -21,7 +21,6 @@ __all__ = [
     "Simulator",
     "SimulationResult",
     "simulate",
-    "ResourceEvent",
     "Trace",
     "TraceSpan",
     "summarize_trace",

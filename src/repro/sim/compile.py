@@ -2,7 +2,7 @@
 
 An :class:`~repro.core.plan.ExecutionPlan` stores its tasks as columns, with
 resource names already interned to dense ids (``0..num_resources-1``), so the
-engine's busy/speed/alive state is plain array indexing.  :class:`CompiledPlan`
+engine's busy state and speed lowering are plain array indexing.  :class:`CompiledPlan`
 freezes those columns and adds what the engine needs on top:
 
 * the dependent edges (who becomes ready when I finish), flattened into a
@@ -17,8 +17,8 @@ per (strategy, batch, phase) and ``repro.exec``'s ``SessionPool`` shares
 sessions across sweep points, one compile serves every perturbation state
 that plan is simulated under.  The compile also carries :attr:`makespans`,
 the memo :func:`repro.sim.batch.simulate_makespans` answers repeated
-(plan, events, start) requests from, so a state simulated once is never
-simulated again while its plan lives.
+(plan, speeds) requests from, so a state simulated once is never simulated
+again while its plan lives.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class CompiledPlan:
     dependents_ids: tuple[int, ...]  # concatenated dependents of each task
     # -- initial state ----------------------------------------------------------
     initial_ready: tuple[int, ...]  # zero-dependency tasks, in id order
-    # -- finished simulations: (events, start_time_s) -> makespan ---------------
+    # -- finished simulations: sorted (resource, factor) pairs -> makespan ------
     # Floats only: a memo of results would keep per-task dicts alive.
     makespans: dict[tuple, float] = field(
         default_factory=dict, init=False, repr=False, compare=False

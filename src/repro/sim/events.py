@@ -1,44 +1,34 @@
-"""Event primitives for the discrete-event engine.
+"""The frozen reference engine's event vocabulary.
 
-:class:`ResourceEvent` is the engine-level vocabulary of
-:mod:`repro.dynamics`; :func:`compile_resource_events` lowers a schedule of
-them onto a plan's interned resource ids (dropping resources the plan never
-mentions) so the engine's hot loop only ever touches dense integers.
-
-Within one simulated timestamp, event *kinds* are ordered: task completions
-(:data:`FINISH`) settle before perturbations (:data:`PERTURB`) apply, so a
-task finishing exactly when its resource dies counts as completed.
-
-:class:`EventQueue` remains for the frozen reference engine
-(:mod:`repro.sim._reference`) and external callers; the unified engine keeps
-its own flat heap of ``(time, kind, seq, ...)`` tuples.
+:mod:`repro.sim._reference` keeps the engine as it stood before the
+compiled-plan rewrite, and these are the types it speaks:
+:class:`ResourceEvent` (a timed speed change or failure of some resources)
+and :class:`EventQueue` (its completion heap).  The live engine
+(:mod:`repro.sim.engine`) takes a per-resource speed map instead and keeps
+its own flat heap of ``(finish time, seq, task id)`` tuples; the
+equivalence tests hand the reference one ``ResourceEvent(0.0, (resource,),
+factor)`` per speed-map entry.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
-# Event-kind ordering within one timestamp (heap tuples sort on these).
-FINISH = 0
-PERTURB = 1
 
 
 @dataclass(frozen=True)
 class ResourceEvent:
     """A timed change to the state of one or more simulator resources.
 
-    This is the engine-level vocabulary of :mod:`repro.dynamics`: cluster-level
-    perturbations (GPU stragglers, NIC degradation, node failures) compile down
-    to resource events before the simulator sees them.
+    Only the frozen reference engine reads these; the live engine and
+    :mod:`repro.dynamics` speak speed maps.
 
     Attributes
     ----------
     time_s:
-        Absolute time the change takes effect.  The simulator converts it to
-        plan-local time via its ``start_time_s`` argument; events at or before
-        the start of the simulation set the initial resource state.
+        Absolute time the change takes effect.  The reference engine converts
+        it to plan-local time via its ``start_time_s`` argument; events at or
+        before the start of the simulation set the initial resource state.
     resources:
         Resource names affected (``compute:3``, ``nic:1:tx``...).  Names not
         used by the simulated plan are ignored.
@@ -61,38 +51,6 @@ class ResourceEvent:
     @property
     def is_failure(self) -> bool:
         return self.factor is None
-
-
-def compile_resource_events(
-    events: Sequence[ResourceEvent],
-    resource_index: Mapping[str, int],
-    start_time_s: float,
-) -> tuple[
-    list[tuple[float | None, tuple[int, ...]]],
-    list[tuple[float, float | None, tuple[int, ...]]],
-]:
-    """Lower resource events onto a compiled plan's dense resource ids.
-
-    Returns ``(initial, timed)``: ``initial`` holds ``(factor, resource_ids)``
-    for events at or before the simulation start (they set the initial
-    speed/alive state), ``timed`` holds ``(plan_local_time, factor,
-    resource_ids)`` sorted by time.  ``factor is None`` means failure.
-    Events naming only resources the plan never mentions are dropped.
-    """
-    initial: list[tuple[float | None, tuple[int, ...]]] = []
-    timed: list[tuple[float, float | None, tuple[int, ...]]] = []
-    for event in sorted(events, key=lambda e: e.time_s):
-        rids = tuple(
-            resource_index[r] for r in event.resources if r in resource_index
-        )
-        if not rids:
-            continue
-        local = event.time_s - start_time_s
-        if local <= 0.0:
-            initial.append((event.factor, rids))
-        else:
-            timed.append((local, event.factor, rids))
-    return initial, timed
 
 
 @dataclass(order=True)

@@ -26,9 +26,10 @@ from repro.core.plan import TaskKind
 class TraceSpan:
     """One executed task: when it ran, where, and what kind of work it was.
 
-    ``aborted`` marks a task that was cut short by a resource failure
-    (:mod:`repro.dynamics`); its ``end_s`` is the failure time, not a natural
-    completion.
+    ``aborted`` marks a task that was cut short by a resource failure; its
+    ``end_s`` is the failure time, not a natural completion.  Only the frozen
+    reference engine (:mod:`repro.sim._reference`) simulates failures, so
+    spans of the live engine always read ``False``.
     """
 
     task_id: int

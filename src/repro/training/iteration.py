@@ -22,14 +22,13 @@ numbers only; inspect a layer's schedule with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.core.plan import ExecutionPlan
 from repro.core.strategy import Strategy
 from repro.data.sampler import Batch
 from repro.model.flops import embedding_flops_per_token
 from repro.sim.batch import SimRequest, simulate_makespans
-from repro.sim.events import ResourceEvent
 from repro.utils.validation import check_positive
 
 # Fixed per-iteration overhead for the optimizer step and data loading, in
@@ -106,9 +105,9 @@ def _layer_plans(strategy: Strategy, batch: Batch) -> _LayerPlans:
 
 def _iterations(
     strategy: Strategy,
-    runs: "Sequence[tuple[Batch, _LayerPlans, Sequence[ResourceEvent] | None]]",
+    runs: "Sequence[tuple[Batch, _LayerPlans, Mapping[str, float] | None]]",
 ) -> list[IterationResult]:
-    """Time each (batch, layer plans, events) run; one memoised simulation.
+    """Time each (batch, layer plans, speeds) run; one memoised simulation.
 
     Every run's two layer makespans come from a single
     :func:`~repro.sim.batch.simulate_makespans` call: states a compiled
@@ -117,8 +116,8 @@ def _iterations(
     :meth:`~repro.sim.engine.Simulator.run` call.
     """
     requests = [
-        SimRequest(plan=plan, events=tuple(events) if events else ())
-        for _, plans, events in runs
+        SimRequest(plan=plan, speeds=speeds)
+        for _, plans, speeds in runs
         for plan in plans
     ]
     makespans = simulate_makespans(requests)
@@ -142,7 +141,7 @@ def _iterations(
 def simulate_iteration(
     strategy: Strategy,
     batch: Batch,
-    events: "Sequence[ResourceEvent] | None" = None,
+    speeds: "Mapping[str, float] | None" = None,
 ) -> IterationResult:
     """Plan, simulate and scale one full training iteration.
 
@@ -152,19 +151,17 @@ def simulate_iteration(
         The scheduling strategy under test.
     batch:
         The global batch of the iteration.
-    events:
-        Optional resource perturbations (:mod:`repro.dynamics`) applied to the
-        simulated layer, e.g. straggler speed factors.  Because the layer plan
-        is representative of every layer, persistent conditions scale to the
-        whole iteration.
+    speeds:
+        Optional speed factor per resource (:mod:`repro.dynamics`), e.g. the
+        stragglers and degraded NICs active at the iteration's start.
+        Because the layer plan is representative of every layer, the
+        slowdowns scale to the whole iteration.
     """
-    return _iterations(strategy, [(batch, _layer_plans(strategy, batch), events)])[0]
+    return _iterations(strategy, [(batch, _layer_plans(strategy, batch), speeds)])[0]
 
 
 def simulate_iterations(
-    strategy: Strategy,
-    batches: "Sequence[Batch]",
-    events: "Sequence[ResourceEvent] | None" = None,
+    strategy: Strategy, batches: "Sequence[Batch]"
 ) -> list[IterationResult]:
     """One iteration per batch, all simulated in one batched call.
 
@@ -174,20 +171,20 @@ def simulate_iterations(
     :func:`simulate_iteration` per batch.
     """
     return _iterations(
-        strategy, [(batch, _layer_plans(strategy, batch), events) for batch in batches]
+        strategy, [(batch, _layer_plans(strategy, batch), None) for batch in batches]
     )
 
 
 def simulate_iteration_states(
     strategy: Strategy,
     batch: Batch,
-    event_states: "Sequence[Sequence[ResourceEvent]]",
+    speed_states: "Sequence[Mapping[str, float]]",
 ) -> list[IterationResult]:
-    """One iteration of the *same* batch under several event states.
+    """One iteration of the *same* batch under several speed maps.
 
-    One plan pair, K speed schedules, all 2K simulations in one
+    One plan pair, K speed maps, all 2K simulations in one
     :func:`~repro.sim.batch.simulate_makespans` call.  Results equal K
     sequential :func:`simulate_iteration` calls.
     """
     plans = _layer_plans(strategy, batch)
-    return _iterations(strategy, [(batch, plans, events) for events in event_states])
+    return _iterations(strategy, [(batch, plans, speeds) for speeds in speed_states])

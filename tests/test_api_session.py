@@ -113,6 +113,28 @@ class TestPlanCache:
         small_session.run("te_cp")
         assert small_session.plan_cache_size == size_after_first
 
+    def test_equal_lengths_with_other_sequence_ids_get_their_own_plan(self):
+        """Task names embed sequence ids, so the cache keys by the batch."""
+        import dataclasses
+
+        from repro.data.sampler import Batch
+
+        session = Session(
+            model="3b", num_gpus=16, total_context=64 * 1024, seed=0, num_steps=1
+        )
+        batch = session.batches[0]
+        renumbered = Batch(
+            tuple(dataclasses.replace(s, seq_id=s.seq_id + 100) for s in batch.sequences),
+            dataset=batch.dataset,
+        )
+        strategy = session.strategy("zeppelin")
+        first = strategy.plan_layer(batch)
+        second = strategy.plan_layer(renumbered)
+        assert second is not first
+        cold = ZeppelinStrategy(session.context).plan_layer(renumbered)
+        assert [t.name for t in second.tasks] == [t.name for t in cold.tasks]
+        assert "attn:inter_node:seq103:r0:rank0" in {t.name for t in second.tasks}
+
 
 class TestRunAndCompare:
     def test_run_result_fields(self, small_session):

@@ -12,9 +12,9 @@ engine runs, whose times must not move.  Every lane is its own engine run,
 and the `batch_simulate` telemetry is pinned down alongside.  So is the
 makespan memo in front of them (`simulate_makespans`): a hit equals a fresh
 engine run, duplicates within one call simulate once, a state is its
-compiled plan, events and start time together, a plan that grows or is
-retimed re-simulates, a failed run is not remembered, and a resilience grid
-reaches the engine once per distinct (plan, events, start).
+compiled plan and speed map together, a plan that grows or is retimed
+re-simulates, a failed run is not remembered, and a resilience grid reaches
+the engine once per distinct (plan, speeds).
 """
 
 import dataclasses
@@ -36,7 +36,6 @@ from repro.sim.batch import (
 )
 from repro.sim.compile import compile_plan
 from repro.sim.engine import Simulator
-from repro.sim.events import ResourceEvent
 
 _KINDS = list(TaskKind)
 
@@ -104,9 +103,7 @@ def _reference(cp, lane: Lane):
     lane_cp = cp
     if lane.durations is not None and lane.durations is not cp.durations:
         lane_cp = dataclasses.replace(cp, durations=lane.durations)
-    return Simulator(record_trace=False).run(
-        lane_cp, events=lane.events, start_time_s=lane.start_time_s
-    )
+    return Simulator(record_trace=False).run(lane_cp, speeds=dict(lane.speeds))
 
 
 def _assert_same_times(new, old, context):
@@ -129,8 +126,7 @@ def _zero_heavy_case(seed: int, factors: bool):
     A task that takes no time completes at the instant it starts, so the
     dispatch after one drained instant pushes completions at that same
     instant: the engine drains them as a second, equal-time group.  With
-    ``factors`` every lane also carries an initial speed factor on one
-    resource.
+    ``factors`` every lane also carries a speed factor on one resource.
     """
     rng = random.Random(6000 + seed)
     cp = compile_plan(_random_plan(rng, zero_frac=0.4, barrier_frac=0.3))
@@ -143,13 +139,7 @@ def _zero_heavy_case(seed: int, factors: bool):
         lanes = [
             dataclasses.replace(
                 lane,
-                events=(
-                    ResourceEvent(
-                        0.0,
-                        (rng.choice(cp.resource_names),),
-                        2.0 ** rng.randint(-3, 1),
-                    ),
-                ),
+                speeds=((rng.choice(cp.resource_names), 2.0 ** rng.randint(-3, 1)),),
             )
             for lane in lanes
         ]
@@ -168,8 +158,8 @@ class TestRandomDagEquivalence:
             _assert_identical(result, _reference(cp, lane), (seed, i))
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_factor_event_lanes_bit_identical(self, seed):
-        """Initial speed factors (persistent slowdowns)."""
+    def test_speed_lanes_bit_identical(self, seed):
+        """Speed maps (persistent slowdowns)."""
         rng = random.Random(2000 + seed)
         plan = _random_plan(rng)
         cp = compile_plan(plan)
@@ -178,9 +168,29 @@ class TestRandomDagEquivalence:
         for _ in range(6):
             if not names:
                 break
-            targets = tuple(rng.sample(names, rng.randint(1, min(2, len(names)))))
+            targets = sorted(rng.sample(names, rng.randint(1, min(2, len(names)))))
             factor = 2.0 ** rng.randint(-3, 1)
-            lanes.append(Lane(events=(ResourceEvent(0.0, targets, factor),)))
+            lanes.append(Lane(speeds=tuple((r, factor) for r in targets)))
+        results = simulate_batch(cp, lanes)
+        for i, (lane, result) in enumerate(zip(lanes, results)):
+            _assert_identical(result, _reference(cp, lane), (seed, i))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mixed_speed_and_duration_lanes_bit_identical(self, seed):
+        """Speed lanes, duration lanes and lanes carrying both, in one call.
+
+        The speed maps may name a resource the plan lacks and factors of
+        exactly 1.0; a lane's speeds apply to its own durations.
+        """
+        rng = random.Random(3000 + seed)
+        plan = _random_plan(rng)
+        cp = compile_plan(plan)
+        halved = tuple(d * 0.5 for d in cp.durations)
+        lanes = [Lane(), Lane(durations=halved)]
+        for _ in range(4):
+            speeds = _random_speeds(rng, plan)
+            lanes.append(Lane(speeds=speeds))
+            lanes.append(Lane(durations=halved, speeds=speeds))
         results = simulate_batch(cp, lanes)
         for i, (lane, result) in enumerate(zip(lanes, results)):
             _assert_identical(result, _reference(cp, lane), (seed, i))
@@ -193,27 +203,6 @@ class TestRandomDagEquivalence:
         results = simulate_batch(cp, lanes)
         for i, (lane, result) in enumerate(zip(lanes, results)):
             _assert_identical(result, _reference(cp, lane), (seed, factors, i))
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_engine_fallback_lanes_bit_identical(self, seed):
-        """Timed perturbations and failures, mixed with duration lanes."""
-        rng = random.Random(3000 + seed)
-        plan = _random_plan(rng)
-        cp = compile_plan(plan)
-        names = sorted({r for t in plan.tasks for r in t.resources})
-        lanes = [Lane()]
-        for _ in range(4):
-            if not names:
-                break
-            targets = tuple(rng.sample(names, 1))
-            time_s = rng.randint(1, 640) / 64.0
-            factor = None if rng.random() < 0.3 else 2.0 ** rng.randint(-3, 0)
-            lanes.append(Lane(events=(ResourceEvent(time_s, targets, factor),)))
-        # Mixed batch: event lanes and a duration lane in one call.
-        lanes.append(Lane(durations=tuple(d * 0.5 for d in cp.durations)))
-        results = simulate_batch(cp, lanes)
-        for i, (lane, result) in enumerate(zip(lanes, results)):
-            _assert_identical(result, _reference(cp, lane), (seed, i))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_traced_engine_runs_match_lanes(self, seed):
@@ -233,22 +222,6 @@ class TestRandomDagEquivalence:
             _assert_same_times(result, traced, (seed, i))
             assert traced.trace.spans  # the trace actually recorded
             assert not result.trace.spans
-
-    def test_start_time_offset(self):
-        rng = random.Random(77)
-        plan = _random_plan(rng)
-        cp = compile_plan(plan)
-        lanes = [
-            Lane(start_time_s=4.0),
-            Lane(
-                durations=tuple(d * 0.5 for d in cp.durations),
-                events=(ResourceEvent(0.0, (plan.tasks[0].resources or ("res:0",))[:1], 0.5),),
-                start_time_s=4.0,
-            ),
-        ]
-        results = simulate_batch(cp, lanes)
-        for i, (lane, result) in enumerate(zip(lanes, results)):
-            _assert_identical(result, _reference(cp, lane), i)
 
 
 class TestErrorParity:
@@ -292,7 +265,7 @@ class TestErrorParity:
 
 
 class TestSimulateBatch:
-    """Every lane runs the engine's loop on its own durations and events."""
+    """Every lane runs the engine's loop on its own durations and speeds."""
 
     def test_every_lane_reaches_the_engine(self, monkeypatch):
         import repro.sim.batch as batch
@@ -303,9 +276,9 @@ class TestSimulateBatch:
         reached = []
         simulate = batch._simulate
 
-        def counting(lane_cp, events, start_time_s, record_trace):
+        def counting(lane_cp, speeds, record_trace):
             reached.append(lane_cp.durations)
-            return simulate(lane_cp, events, start_time_s, record_trace)
+            return simulate(lane_cp, speeds, record_trace)
 
         monkeypatch.setattr(batch, "_simulate", counting)
         sink = ListSink()
@@ -376,7 +349,7 @@ class TestSimulateMany:
         requests = [
             SimRequest(plan=plan_a),
             SimRequest(plan=plan_b),
-            SimRequest(plan=plan_a, events=(ResourceEvent(0.0, ("res:0",), 0.5),)),
+            SimRequest(plan=plan_a, speeds=(("res:0", 0.5),)),
             SimRequest(plan=plan_b),
             SimRequest(plan=plan_a),
         ]
@@ -385,7 +358,7 @@ class TestSimulateMany:
             results = simulate_many(requests)
         sim = Simulator(record_trace=False)
         for i, (request, result) in enumerate(zip(requests, results)):
-            ref = sim.run(request.plan, events=request.events)
+            ref = sim.run(request.plan, speeds=dict(request.speeds))
             _assert_identical(result, ref, i)
             assert result.plan is request.plan
         events = [e for e in sink.events if e["type"] == "batch_simulate"]
@@ -415,21 +388,17 @@ class TestStrategyEquivalence:
     def test_all_registered_strategies_bit_identical(self, session):
         from repro.registry import STRATEGIES
 
-        event_sets = [
+        speed_sets = [
             (),
-            (ResourceEvent(0.0, ("compute:3",), 0.5),),
-            (
-                ResourceEvent(0.001, ("compute:3",), 0.5),
-                ResourceEvent(0.002, ("nic:0:tx", "nic:0:rx"), 0.25),
-            ),
+            (("compute:3", 0.5),),
+            (("compute:3", 0.5), ("nic:0:rx", 0.25), ("nic:0:tx", 0.25)),
         ]
-        sim = Simulator()
         for name in STRATEGIES.names():
             strategy = session.strategy(name)
             for phase in ("forward", "backward"):
                 plan = strategy.plan_layer(batch=session.batches[0], phase=phase)
                 cp = compile_plan(plan)
-                lanes = [Lane(events=events) for events in event_sets]
+                lanes = [Lane(speeds=speeds) for speeds in speed_sets]
                 lanes += [
                     Lane(durations=tuple(d * s for d in cp.durations))
                     for s in (0.5, 1.25)
@@ -478,16 +447,51 @@ class TestStrategyEquivalence:
 
         strategy = session.strategy("te_cp")
         batch = session.batches[0]
-        states = [
-            (),
-            (ResourceEvent(0.0, ("compute:1",), 0.5),),
-            (ResourceEvent(0.0, ("compute:1",), 0.25),),
-        ]
+        states = [{}, {"compute:1": 0.5}, {"compute:1": 0.25}]
         batched = simulate_iteration_states(strategy, batch, states)
         fresh = Session(session.config).strategy("te_cp")
-        for events, result in zip(states, batched):
-            sequential = simulate_iteration(fresh, batch, events=list(events) or None)
+        for speeds, result in zip(states, batched):
+            sequential = simulate_iteration(fresh, batch, speeds=speeds or None)
             assert result.iteration_time_s == sequential.iteration_time_s
+
+    def test_equal_speed_maps_in_any_order_are_one_state(self, session, monkeypatch):
+        """A producer's map is sorted into its key, so insertion order
+        cannot split one state into two engine runs."""
+        import repro.sim.batch as batch_module
+        from repro.api import Session
+        from repro.training.iteration import simulate_iteration_states
+
+        reached = []
+        simulate = batch_module._simulate
+
+        def counting(cp, speeds, record_trace):
+            reached.append(speeds)
+            return simulate(cp, speeds, record_trace)
+
+        monkeypatch.setattr(batch_module, "_simulate", counting)
+        # A fresh session's plans carry empty memos.
+        strategy = Session(session.config).strategy("te_cp")
+        states = [
+            {"compute:1": 0.5, "nic:0:tx": 0.25},
+            {"nic:0:tx": 0.25, "compute:1": 0.5},
+        ]
+        with Telemetry() as tele, telemetry_scope(tele):
+            first, second = simulate_iteration_states(
+                strategy, session.batches[0], states
+            )
+        key = (("compute:1", 0.5), ("nic:0:tx", 0.25))
+        assert reached == [key, key]  # the forward and backward plan, once each
+        assert tele.counters["makespan_memo_hits"] == 2
+        assert first == second
+
+    def test_invalid_speed_raises_through_simulate_iteration(self, session):
+        from repro.training.iteration import simulate_iteration
+
+        strategy = session.strategy("te_cp")
+        with pytest.raises(ValueError, match="compute:1"):
+            simulate_iteration(
+                strategy, session.batches[0], speeds={"compute:1": float("inf")}
+            )
 
     def test_measure_throughput_unchanged(self, session):
         """The batched funnel keeps measured throughput bit-identical."""
@@ -506,39 +510,51 @@ class TestStrategyEquivalence:
         assert measured.tokens_per_second == total_tokens / total_time
 
 
-def _random_events(rng: random.Random, plan: ExecutionPlan) -> tuple:
-    """Initial speed factors, timed slowdowns and failures on ``plan``."""
+def _random_speeds(rng: random.Random, plan: ExecutionPlan) -> dict[str, float]:
+    """A speed map on ``plan``, maybe naming a resource it lacks.
+
+    Factors of exactly 1.0 are drawn too: they change no time but are still
+    a state of their own.
+    """
     names = sorted(plan.resource_index) + ["res:unused"]
-    events = []
-    for _ in range(rng.randint(0, 5)):
-        time_s = 0.0 if rng.random() < 0.4 else rng.randint(1, 640) / 64.0
-        factor = None if rng.random() < 0.2 else 2.0 ** rng.randint(-3, 1)
-        events.append(ResourceEvent(time_s, (rng.choice(names),), factor))
-    return tuple(events)
+    return {
+        rng.choice(names): rng.choice((1.0, 2.0 ** rng.randint(-3, 1)))
+        for _ in range(rng.randint(0, 5))
+    }
 
 
 class TestMakespanMemo:
     """``simulate_makespans`` answers a state its compiled plan finished."""
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        start_time_s=st.sampled_from((0.0, 0.75, 4.0)),
-    )
-    def test_miss_and_hit_equal_a_fresh_engine_run(self, seed, start_time_s):
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_miss_and_hit_equal_a_fresh_engine_run(self, seed):
         rng = random.Random(seed)
         plan = _random_plan(rng)
-        events = _random_events(rng, plan)
-        request = SimRequest(plan=plan, events=events, start_time_s=start_time_s)
-        fresh = Simulator(record_trace=False).run(
-            plan, events=events, start_time_s=start_time_s
-        )
+        speeds = _random_speeds(rng, plan)
+        request = SimRequest(plan=plan, speeds=speeds)
+        fresh = Simulator(record_trace=False).run(plan, speeds=dict(speeds))
         with Telemetry() as tele, telemetry_scope(tele):
             miss = simulate_makespans([request])
             assert tele.counters["makespan_memo_hits"] == 0
             hit = simulate_makespans([request])
             assert tele.counters["makespan_memo_hits"] == 1
         assert [m.hex() for m in miss + hit] == [fresh.makespan_s.hex()] * 2
+
+    def test_speed_maps_normalise_to_one_key(self):
+        """Requests and lanes sort a speed map once, so equal maps in any
+        order, or given as pairs, are one memo key."""
+        plan = ExecutionPlan()
+        key = (("compute:1", 0.5), ("nic:0:tx", 0.25))
+        for speeds in (
+            {"compute:1": 0.5, "nic:0:tx": 0.25},
+            {"nic:0:tx": 0.25, "compute:1": 0.5},
+            (("nic:0:tx", 0.25), ("compute:1", 0.5)),
+        ):
+            assert SimRequest(plan=plan, speeds=speeds).speeds == key
+            assert Lane(speeds=speeds).speeds == key
+        assert SimRequest(plan=plan, speeds=None).speeds == ()
+        assert Lane(speeds={}).speeds == ()
 
     def test_add_after_a_memoised_run_resimulates(self):
         plan = ExecutionPlan()
@@ -556,11 +572,11 @@ class TestMakespanMemo:
     def test_hits_reach_the_ambient_hub_without_a_kernel_call(self):
         rng = random.Random(31)
         plan_a, plan_b = _random_plan(rng), _random_plan(rng)
-        slow = (ResourceEvent(0.0, ("res:0",), 0.5),)
+        slow = (("res:0", 0.5),)
         requests = [
             SimRequest(plan=plan_a),
             SimRequest(plan=plan_b),
-            SimRequest(plan=plan_a, events=slow),
+            SimRequest(plan=plan_a, speeds=slow),
         ]
         sink = ListSink()
         with Telemetry(sink=sink) as tele, telemetry_scope(tele):
@@ -572,7 +588,9 @@ class TestMakespanMemo:
         assert len(kernel) == 1  # the hits ran nothing
         assert again == first[::-1]
         sim = Simulator(record_trace=False)
-        assert first == [sim.run(r.plan, events=r.events).makespan_s for r in requests]
+        assert first == [
+            sim.run(r.plan, speeds=dict(r.speeds)).makespan_s for r in requests
+        ]
 
     def test_results_identical_with_telemetry_off_and_on(self):
         from repro.api import Session
@@ -607,17 +625,17 @@ class TestMakespanMemo:
 
         rng = random.Random(5)
         plan = _random_plan(rng)
-        slow = (ResourceEvent(0.0, ("res:0",), 0.5),)
+        slow = (("res:0", 0.5),)
         requests = [SimRequest(plan=plan) for _ in range(8)]
-        requests.append(SimRequest(plan=plan, events=slow))
+        requests.append(SimRequest(plan=plan, speeds=slow))
         # The compiled form of the same plan is the same state.
-        requests.append(SimRequest(plan=plan.compiled(), events=slow))
+        requests.append(SimRequest(plan=plan.compiled(), speeds=slow))
         reached = []
         simulate = batch._simulate
 
-        def counting(cp, events, start_time_s, record_trace):
-            reached.append((id(cp), tuple(events), start_time_s))
-            return simulate(cp, events, start_time_s, record_trace)
+        def counting(cp, speeds, record_trace):
+            reached.append((id(cp), speeds))
+            return simulate(cp, speeds, record_trace)
 
         monkeypatch.setattr(batch, "_simulate", counting)
         sink = ListSink()
@@ -630,62 +648,33 @@ class TestMakespanMemo:
         assert [e["lanes"] for e in kernel] == [2]
         sim = Simulator(record_trace=False)
         assert makespans == [
-            sim.run(r.plan, events=r.events).makespan_s for r in requests
+            sim.run(r.plan, speeds=dict(r.speeds)).makespan_s for r in requests
         ]
         assert makespans[0] != makespans[-1]
 
     def test_distinct_plans_in_one_state_each_simulate(self, monkeypatch):
-        """Equal events and start time on two plans are two states."""
+        """Equal speeds on two plans are two states."""
         import repro.sim.batch as batch
 
         rng = random.Random(43)
         plans = [_random_plan(rng) for _ in range(3)]
-        slow = (ResourceEvent(0.0, ("res:0",), 0.5),)
+        slow = (("res:0", 0.5),)
         reached = []
         simulate = batch._simulate
 
-        def counting(cp, events, start_time_s, record_trace):
+        def counting(cp, speeds, record_trace):
             reached.append(cp.plan)
-            return simulate(cp, events, start_time_s, record_trace)
+            return simulate(cp, speeds, record_trace)
 
         monkeypatch.setattr(batch, "_simulate", counting)
-        requests = [SimRequest(plan=p, events=slow) for p in plans]
+        requests = [SimRequest(plan=p, speeds=slow) for p in plans]
         with Telemetry() as tele, telemetry_scope(tele):
             makespans = simulate_makespans(requests)
         assert len(reached) == 3
         assert all(got is want for got, want in zip(reached, plans))
         assert tele.counters["makespan_memo_hits"] == 0
         sim = Simulator(record_trace=False)
-        assert makespans == [sim.run(p, events=slow).makespan_s for p in plans]
-
-    def test_start_time_is_part_of_the_state(self, monkeypatch):
-        """One plan under one event list, started at two times, runs twice."""
-        import repro.sim.batch as batch
-
-        rng = random.Random(47)
-        plan = _random_plan(rng)
-        events = (ResourceEvent(1.0, ("res:0",), 0.25),)
-        starts = (0.0, 0.5, 0.0)
-        reached = []
-        simulate = batch._simulate
-
-        def counting(cp, events, start_time_s, record_trace):
-            reached.append(start_time_s)
-            return simulate(cp, events, start_time_s, record_trace)
-
-        monkeypatch.setattr(batch, "_simulate", counting)
-        requests = [
-            SimRequest(plan=plan, events=events, start_time_s=s) for s in starts
-        ]
-        with Telemetry() as tele, telemetry_scope(tele):
-            makespans = simulate_makespans(requests)
-        assert reached == [0.0, 0.5]
-        assert tele.counters["makespan_memo_hits"] == 1
-        sim = Simulator(record_trace=False)
-        assert makespans == [
-            sim.run(plan, events=events, start_time_s=s).makespan_s for s in starts
-        ]
-        assert makespans[0] != makespans[1]
+        assert makespans == [sim.run(p, speeds=dict(slow)).makespan_s for p in plans]
 
     def test_duration_variant_keeps_its_own_memo(self):
         """A retimed compile shares the lowering of its base, not its memo."""
@@ -722,8 +711,25 @@ class TestMakespanMemo:
                 simulate_makespans([SimRequest(plan=broken)])
         assert not broken.makespans
 
+    @pytest.mark.parametrize(
+        "factor", [0.0, -0.5, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_invalid_speed_raises_and_enters_no_memo(self, factor):
+        """A bad speed fails its whole call, and no state of it is kept."""
+        rng = random.Random(53)
+        plan = _random_plan(rng)
+        cp = compile_plan(plan)
+        requests = [
+            SimRequest(plan=plan),
+            SimRequest(plan=plan, speeds=(("res:0", factor),)),
+        ]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="res:0"):
+                simulate_makespans(requests)
+        assert not cp.makespans
+
     def test_resilience_grid_reaches_the_engine_once_per_state(self, monkeypatch):
-        """fig13 simulates each distinct (plan, events, start) exactly once.
+        """fig13 simulates each distinct (plan, speeds) exactly once.
 
         Every engine run (``_simulate``, whether a batch entry point or a
         direct ``Simulator.run`` called it) is logged with its state.  A
@@ -737,10 +743,10 @@ class TestMakespanMemo:
         compiled: list = []  # keeps every keyed compile alive, so ids stay unique
         reached: list[tuple] = []
 
-        def counting(cp, events, start_time_s, record_trace):
+        def counting(cp, speeds, record_trace):
             compiled.append(cp)
-            reached.append((id(cp), tuple(events or ()), start_time_s))
-            return simulate(cp, events, start_time_s, record_trace)
+            reached.append((id(cp), tuple(speeds)))
+            return simulate(cp, speeds, record_trace)
 
         simulate = engine._simulate
         monkeypatch.setattr(engine, "_simulate", counting)

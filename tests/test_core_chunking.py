@@ -82,10 +82,23 @@ class TestChunkingProperties:
         group=st.integers(min_value=1, max_value=32),
     )
     def test_property_partition_and_pair_conservation(self, seq, group):
+        """Tokens and causal pairs are conserved; the 2G chunks tile the
+        sequence in order, and the first ``seq % 2G`` of them carry one
+        extra token."""
         assignments = zigzag_assignment(seq, group)
         assert sum(a.tokens for a in assignments) == seq
         total_pairs = sum(a.causal_pairs for a in assignments)
         assert total_pairs == pytest.approx(seq * (seq + 1) / 2)
+        chunks = [a.head_chunk for a in assignments]
+        chunks += [a.tail_chunk for a in reversed(assignments)]
+        base, extra = divmod(seq, 2 * group)
+        assert [length for _, length in chunks] == [
+            base + (c < extra) for c in range(2 * group)
+        ]
+        starts = [start for start, _ in chunks]
+        ends = [start + length for start, length in chunks]
+        assert starts == [0] + ends[:-1]
+        assert ends[-1] == seq
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -1,11 +1,13 @@
-"""Equivalence guard: the unified compiled-plan engine vs the frozen reference.
+"""Equivalence guard: the compiled-plan engine vs the frozen reference.
 
-The engine rewrite (interned resources, indexed waiter dispatch, one core for
-the static and dynamic cases) must not change scheduling semantics.  These
-tests compare :class:`repro.sim.engine.Simulator` against the verbatim
+The engine rewrite (interned resources, indexed waiter dispatch, one mode
+taking a per-resource speed map) must not change scheduling semantics.
+These tests compare :class:`repro.sim.engine.Simulator` against the verbatim
 pre-refactor engine in :mod:`repro.sim._reference` on randomly generated DAGs
-and on every registered strategy's real plans — start times, end times,
-aborted/stranded sets, failed resources and trace spans, all bit-identical.
+and on every registered strategy's real plans — start times, end times and
+trace spans, all bit-identical.  A speed map reaches the reference as one
+``ResourceEvent(0.0, (resource,), factor)`` per entry, which sets that
+resource's speed from the start of its dynamic path.
 
 One deliberate semantic fix rides the rewrite: same-timestamp events are
 drained by *exact* comparison on the pushed completion times instead of an
@@ -13,9 +15,10 @@ absolute ``1e-15`` epsilon (which merges distinct instants a few ulp apart at
 small clocks and is scale-dependent).  The reference engine exposes the same
 fix behind ``exact_drain=True``, so the strategy-level comparisons run both
 engines under identical drain semantics; the random-DAG tests use dyadic
-durations (exact in binary floating point), where the two drain policies
-coincide and the comparison therefore also covers the *old* ordering
-semantics.  ``TestExactDrain`` pins down the intended behaviour change.
+durations and power-of-two speed factors (exact in binary floating point),
+where the two drain policies coincide, so they compare against both and
+therefore also cover the *old* ordering semantics.  ``TestExactDrain`` pins
+down the intended behaviour change.
 """
 
 import random
@@ -61,27 +64,42 @@ def _random_plan(rng: random.Random) -> ExecutionPlan:
     return plan
 
 
-def _random_events(rng: random.Random, plan: ExecutionPlan) -> list[ResourceEvent]:
-    """Random slowdowns, recoveries and failures over the plan's resources.
+def _random_speeds(rng: random.Random, plan: ExecutionPlan) -> dict[str, float]:
+    """A random speed map over some of the plan's resources.
 
-    Times are dyadic and factors are powers of two, keeping all re-timing
-    arithmetic exact (see :func:`_random_plan`).
+    Factors are powers of two, keeping every re-timed duration dyadic (see
+    :func:`_random_plan`).
     """
-    names = sorted({r for t in plan.tasks for r in t.resources})
-    if not names:
-        return []
-    events = []
-    for _ in range(rng.randint(0, 5)):
-        targets = tuple(rng.sample(names, rng.randint(1, min(2, len(names)))))
-        time_s = rng.randint(0, 640) / 64.0
-        roll = rng.random()
-        if roll < 0.25:
-            events.append(ResourceEvent(time_s, targets, None))  # failure
-        elif roll < 0.75:
-            events.append(ResourceEvent(time_s, targets, rng.choice((0.5, 0.25, 0.125))))
-        else:
-            events.append(ResourceEvent(time_s, targets, 1.0))  # recovery
-    return events
+    names = sorted(plan.resource_index)
+    targets = rng.sample(names, rng.randint(0, min(4, len(names))))
+    return {r: rng.choice((2.0, 1.0, 0.5, 0.25, 0.125)) for r in targets}
+
+
+def _as_events(speeds) -> list[ResourceEvent] | None:
+    """The reference engine's spelling of a speed map (``None`` stays)."""
+    if speeds is None:
+        return None
+    return [ResourceEvent(0.0, (r,), f) for r, f in sorted(dict(speeds).items())]
+
+
+def _retimed(plan: ExecutionPlan, speeds: dict[str, float]) -> ExecutionPlan:
+    """``plan`` with each task's duration over its slowest held resource.
+
+    Unlisted resources run at 1.0, and a task holding none keeps its time.
+    """
+    retimed = ExecutionPlan()
+    for t in plan.tasks:
+        factor = min((speeds.get(r, 1.0) for r in t.resources), default=1.0)
+        retimed.add(
+            t.name,
+            t.kind,
+            t.duration_s / factor,
+            t.resources,
+            deps=t.deps,
+            rank=t.rank,
+            priority=t.priority,
+        )
+    return retimed
 
 
 def _assert_identical(new, old, context):
@@ -96,30 +114,38 @@ def _assert_identical(new, old, context):
 
 class TestRandomDagEquivalence:
     @pytest.mark.parametrize("seed", range(60))
-    def test_static_and_dynamic_identical_to_reference(self, seed):
+    def test_static_and_speed_maps_identical_to_reference(self, seed):
         rng = random.Random(seed)
         plan = _random_plan(rng)
-        events = _random_events(rng, plan)
-        for ev in (None, [], events):
-            new = Simulator().run(plan, events=ev)
+        # ``None`` runs the reference's static path, ``{}`` its dynamic path
+        # with no events, a speed map its dynamic path with initial factors.
+        for speeds in (None, {}, _random_speeds(rng, plan)):
+            new = Simulator().run(plan, speeds=speeds)
             # Dyadic timestamps: old and exact drain coincide, so this also
             # certifies equivalence under the old-ordering semantics.
-            old = ReferenceSimulator().run(plan, events=ev)
-            _assert_identical(new, old, (seed, "events" if ev else ev))
+            for exact_drain in (False, True):
+                old = ReferenceSimulator(exact_drain=exact_drain).run(
+                    plan, events=_as_events(speeds)
+                )
+                _assert_identical(new, old, (seed, speeds, exact_drain))
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_start_time_offset_identical_to_reference(self, seed):
+    def test_speed_map_equals_retimed_plan_on_reference(self, seed):
+        """A speed map is a retiming: the reference's static path, with no
+        events at all, gives the same schedule once each task's duration is
+        divided by its slowest held resource's factor."""
         rng = random.Random(1000 + seed)
         plan = _random_plan(rng)
-        events = _random_events(rng, plan)
-        new = Simulator().run(plan, events=events, start_time_s=4.0)
-        old = ReferenceSimulator().run(plan, events=events, start_time_s=4.0)
-        _assert_identical(new, old, seed)
+        speeds = _random_speeds(rng, plan)
+        speeds["res:unused"] = 0.5  # a resource the plan lacks changes nothing
+        new = Simulator().run(plan, speeds=speeds)
+        old = ReferenceSimulator(exact_drain=True).run(_retimed(plan, speeds))
+        _assert_identical(new, old, (seed, speeds))
 
 
 class TestStrategyEquivalence:
     """Real plans: every registered strategy, both phases, with and without
-    perturbations, bit-identical under the (fixed) exact drain semantics."""
+    slowdowns, bit-identical under the (fixed) exact drain semantics."""
 
     @pytest.fixture(scope="class")
     def session(self):
@@ -136,24 +162,22 @@ class TestStrategyEquivalence:
                 straggler_frac=0.25, nic_degrade_frac=0.3, mttf_s=30.0, max_failures=3
             )
         ).generate(session.cluster, seed=1)
-        event_sets = [
+        speed_maps = [
             None,
-            [],
-            schedule.active_resource_events(0.0, session.cluster),
-            [
-                ResourceEvent(0.001, ("compute:3",), 0.5),
-                ResourceEvent(0.002, ("nic:0:tx", "nic:0:rx"), 0.25),
-                ResourceEvent(0.004, ("compute:7", "nvl:7:tx", "nvl:7:rx"), None),
-                ResourceEvent(0.006, ("compute:3",), 1.0),
-            ],
+            {},
+            schedule.active_factors(0.0),
+            {"compute:3": 0.5, "nic:0:tx": 0.25, "nic:0:rx": 0.25, "nvl:7:tx": 0.7},
         ]
+        assert speed_maps[2], "the schedule drew no slowdown at t=0"
         for name in STRATEGIES.names():
             strategy = session.strategy(name)
             for phase in ("forward", "backward"):
                 plan = strategy.plan_layer(batch=session.batches[0], phase=phase)
-                for i, events in enumerate(event_sets):
-                    new = Simulator().run(plan, events=events)
-                    old = ReferenceSimulator(exact_drain=True).run(plan, events=events)
+                for i, speeds in enumerate(speed_maps):
+                    new = Simulator().run(plan, speeds=speeds)
+                    old = ReferenceSimulator(exact_drain=True).run(
+                        plan, events=_as_events(speeds)
+                    )
                     _assert_identical(new, old, (name, phase, i))
 
     def test_resilience_result_bit_identical(self, session, monkeypatch):
@@ -176,10 +200,7 @@ class TestStrategyEquivalence:
             simulator = ReferenceSimulator(record_trace=False, exact_drain=True)
             reference_runs.extend(requests)
             return [
-                simulator.run(
-                    r.plan, events=r.events, start_time_s=r.start_time_s
-                )
-                for r in requests
+                simulator.run(r.plan, events=_as_events(r.speeds)) for r in requests
             ]
 
         # Every simulation the makespan memo misses goes to simulate_many;
@@ -219,14 +240,6 @@ class TestUnifiedPathGuards:
         )
         with pytest.raises(RuntimeError, match="deadlock at time 0"):
             Simulator().run(corrupt)
-
-    def test_failure_at_t0_is_not_a_deadlock(self):
-        """All-stranded at t0 returns a failed result instead of raising."""
-        plan = ExecutionPlan()
-        plan.add("a", TaskKind.ATTENTION, 1.0, ("compute:0",))
-        result = Simulator().run(plan, events=[ResourceEvent(0.0, ("compute:0",), None)])
-        assert result.failed
-        assert result.stranded_task_ids == (0,)
 
     def test_unsatisfiable_dependency_still_raises(self):
         import dataclasses

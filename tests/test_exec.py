@@ -443,3 +443,21 @@ class TestSessionSweepIntegration:
         )
         assert len(cells) == len(again) == 1
         assert cells[0].to_dict() == again[0].to_dict()
+
+
+class TestSessionPool:
+    def test_one_session_per_equal_config(self):
+        """The pool keys sessions by the frozen config itself."""
+        import dataclasses
+
+        from repro.api import SessionConfig
+        from repro.exec.worker import SessionPool
+
+        pool = SessionPool()
+        config = SessionConfig(**SMALL_BASE)
+        first = pool.get(config)
+        assert pool.get(SessionConfig(**SMALL_BASE)) is first
+        assert first.config == config
+        other = pool.get(dataclasses.replace(config, seed=config.seed + 1))
+        assert other is not first
+        assert len(pool) == 2

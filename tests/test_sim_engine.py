@@ -115,21 +115,22 @@ def _chain_plan() -> ExecutionPlan:
     return plan
 
 
-class TestDynamicSimulator:
+class TestSpeeds:
     def test_resource_event_validation(self):
+        """The reference engine's event type checks its factor and resources."""
         with pytest.raises(ValueError):
             ResourceEvent(0.0, ("compute:0",), 0.0)
         with pytest.raises(ValueError):
             ResourceEvent(0.0, (), 0.5)
         assert ResourceEvent(0.0, ("compute:0",), None).is_failure
 
-    def test_empty_events_matches_static_path_exactly(self):
+    def test_empty_speeds_matches_static_path_exactly(self):
         plan = _chain_plan()
-        assert simulate(plan, events=[]).makespan_s == simulate(plan).makespan_s
+        assert simulate(plan, speeds={}).makespan_s == simulate(plan).makespan_s
 
-    def test_empty_events_matches_static_for_all_registered_strategies(self):
-        """Regression guard: the dynamic path with no perturbations is the
-        identity — bit-for-bit equal makespans for every strategy's plans."""
+    def test_unit_speeds_match_static_for_all_registered_strategies(self):
+        """Every resource at 1.0 is the identity: bit-for-bit equal times
+        for every strategy's plans."""
         from repro.api import Session
         from repro.registry import STRATEGIES
 
@@ -139,139 +140,58 @@ class TestDynamicSimulator:
             strategy = session.strategy(name)
             for phase in ("forward", "backward"):
                 plan = strategy.plan_layer(batch, phase=phase)
+                unit = dict.fromkeys(plan.resource_index, 1.0)
                 static = Simulator(record_trace=False).run(plan)
-                dynamic = Simulator(record_trace=False).run(plan, events=[])
-                assert dynamic.makespan_s == static.makespan_s, (name, phase)
-                assert dynamic.end_times == static.end_times, (name, phase)
+                scaled = Simulator(record_trace=False).run(plan, speeds=unit)
+                assert scaled.makespan_s == static.makespan_s, (name, phase)
+                assert scaled.end_times == static.end_times, (name, phase)
 
-    def test_slowdown_from_start_scales_durations(self):
-        result = simulate(_chain_plan(), events=[ResourceEvent(0.0, ("compute:0",), 0.5)])
+    def test_slowdown_scales_durations(self):
+        result = simulate(_chain_plan(), speeds={"compute:0": 0.5})
         assert result.makespan_s == pytest.approx(10.0)
-
-    def test_mid_task_slowdown_retimes_remaining_work(self):
-        # 1s of "a" at full speed, 1s of work left at half speed (2s), then
-        # all of "b" at half speed (6s): 1 + 2 + 6 = 9.
-        result = simulate(_chain_plan(), events=[ResourceEvent(1.0, ("compute:0",), 0.5)])
-        assert result.makespan_s == pytest.approx(9.0)
-
-    def test_recovery_speedup_mid_task(self):
-        # Slow from the start, back to full speed at t=2: 1s of work done by
-        # t=2, remaining 1s + 3s at full speed.
-        events = [
-            ResourceEvent(0.0, ("compute:0",), 0.5),
-            ResourceEvent(2.0, ("compute:0",), 1.0),
-        ]
-        result = simulate(_chain_plan(), events=events)
-        assert result.makespan_s == pytest.approx(6.0)
 
     def test_task_speed_is_min_over_resources(self):
         plan = ExecutionPlan()
         plan.add("xfer", TaskKind.INTER_COMM, 2.0, ("nic:0:tx", "nic:1:rx"))
-        events = [
-            ResourceEvent(0.0, ("nic:0:tx",), 0.8),
-            ResourceEvent(0.0, ("nic:1:rx",), 0.25),
-        ]
-        assert simulate(plan, events=events).makespan_s == pytest.approx(8.0)
+        speeds = {"nic:0:tx": 0.8, "nic:1:rx": 0.25}
+        assert simulate(plan, speeds=speeds).makespan_s == pytest.approx(8.0)
 
-    def test_events_for_unknown_resources_are_ignored(self):
-        result = simulate(
-            _chain_plan(),
-            events=[
-                ResourceEvent(0.0, ("compute:99",), 0.1),
-                ResourceEvent(1.0, ("nic:7:tx",), None),
-            ],
-        )
+    def test_speed_holds_for_the_whole_run(self):
+        """A slowed task that starts late runs at its factor throughout."""
+        plan = ExecutionPlan()
+        a = plan.add("a", TaskKind.OTHER, 3.0, ("compute:0",))
+        b = plan.add("b", TaskKind.OTHER, 2.0, ("compute:1",), deps=[a])
+        result = simulate(plan, speeds={"compute:1": 0.5})
+        assert result.start_times[b] == 3.0
+        assert result.end_times[b] == 7.0
+
+    def test_task_holding_no_resource_keeps_its_duration(self):
+        plan = ExecutionPlan()
+        plan.add("sync", TaskKind.OTHER, 2.0, ())
+        plan.add("work", TaskKind.OTHER, 1.0, ("compute:0",))
+        result = simulate(plan, speeds={"compute:0": 0.25})
+        assert result.end_times == {0: 2.0, 1: 4.0}
+
+    def test_speeds_for_unknown_resources_are_ignored(self):
+        result = simulate(_chain_plan(), speeds={"compute:99": 0.1, "nic:7:tx": 0.5})
         assert result.makespan_s == pytest.approx(5.0)
-        assert not result.failed
 
-    def test_start_time_offsets_the_schedule(self):
-        # Event at absolute t=11 with the plan starting at t=10 lands 1s in.
-        result = simulate(
-            _chain_plan(),
-            events=[ResourceEvent(11.0, ("compute:0",), 0.5)],
-            start_time_s=10.0,
-        )
-        assert result.makespan_s == pytest.approx(9.0)
-        # An event from before the start sets the initial state.
-        result = simulate(
-            _chain_plan(),
-            events=[ResourceEvent(3.0, ("compute:0",), 0.5)],
-            start_time_s=10.0,
-        )
-        assert result.makespan_s == pytest.approx(10.0)
-
-    def test_failure_aborts_in_flight_task(self):
+    def test_slowed_run_reports_full_completion(self):
         plan = _chain_plan()
-        result = simulate(plan, events=[ResourceEvent(1.0, ("compute:0",), None)])
-        assert result.failed
-        assert result.aborted_task_ids == (0,)
-        assert result.completed_tasks == 0
-        assert result.failed_resources == ("compute:0",)
-        (span,) = result.trace.spans
-        assert span.aborted and span.end_s == pytest.approx(1.0)
-
-    def test_failure_strands_dependent_and_waiting_tasks(self):
-        plan = ExecutionPlan()
-        a = plan.add("a", TaskKind.ATTENTION, 1.0, ("compute:0",))
-        plan.add("b", TaskKind.LINEAR, 1.0, ("compute:0",), deps=[a])
-        plan.add("c", TaskKind.ATTENTION, 5.0, ("compute:1",))
-        result = simulate(plan, events=[ResourceEvent(0.5, ("compute:0",), None)])
-        assert result.failed
-        assert result.aborted_task_ids == (0,)
-        # The dependent of the aborted task is stranded, not lost track of.
-        assert result.stranded_task_ids == (1,)
-        # "c" on the surviving resource still completes.
-        assert result.end_times[2] == pytest.approx(5.0)
-        assert result.completed_tasks == 1
-
-    def test_unaffected_resources_keep_running_after_failure(self):
-        plan = ExecutionPlan()
-        plan.add("dead", TaskKind.ATTENTION, 10.0, ("compute:0",))
-        plan.add("alive", TaskKind.ATTENTION, 10.0, ("compute:1",))
-        result = simulate(plan, events=[ResourceEvent(2.0, ("compute:0",), None)])
-        assert result.end_times[1] == pytest.approx(10.0)
-        assert result.makespan_s == pytest.approx(10.0)
-
-    def test_task_finishing_at_failure_instant_counts_completed(self):
-        plan = ExecutionPlan()
-        plan.add("a", TaskKind.ATTENTION, 2.0, ("compute:0",))
-        result = simulate(plan, events=[ResourceEvent(2.0, ("compute:0",), None)])
-        assert result.completed_tasks == 1
-        assert not result.trace.spans[0].aborted
-
-    def test_failure_before_start_strands_everything(self):
-        plan = _chain_plan()
-        result = simulate(plan, events=[ResourceEvent(0.0, ("compute:0",), None)])
-        assert result.failed
-        assert result.completed_tasks == 0
-        assert result.stranded_task_ids == (0, 1)
-
-    def test_every_task_is_completed_aborted_or_stranded(self):
-        plan = ExecutionPlan()
-        a = plan.add("a", TaskKind.ATTENTION, 2.0, ("compute:0",))
-        plan.add("b", TaskKind.LINEAR, 1.0, ("compute:0",), deps=[a])
-        plan.add("c", TaskKind.ATTENTION, 0.5, ("compute:1",))
-        result = simulate(plan, events=[ResourceEvent(1.0, ("compute:0",), None)])
-        accounted = (
-            set(result.end_times)
-            | set(result.aborted_task_ids)
-            | set(result.stranded_task_ids)
-        )
-        assert accounted == {0, 1, 2}
-
-    def test_multi_resource_task_aborts_if_any_resource_dies(self):
-        plan = ExecutionPlan()
-        plan.add("xfer", TaskKind.INTER_COMM, 4.0, ("nic:0:tx", "nic:1:rx"))
-        result = simulate(plan, events=[ResourceEvent(1.0, ("nic:1:rx",), None)])
-        assert result.aborted_task_ids == (0,)
-
-    def test_dynamic_run_reports_full_completion_when_healthy(self):
-        plan = _chain_plan()
-        result = Simulator().run(plan, events=[])
+        result = Simulator().run(plan, speeds={"compute:0": 0.5})
         assert result.completed_tasks == plan.num_tasks
         assert not result.failed
         assert result.aborted_task_ids == ()
         assert result.stranded_task_ids == ()
+
+    @pytest.mark.parametrize(
+        "factor", [0.0, -0.5, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_speed_must_be_finite_and_positive(self, factor):
+        # Checked for every entry, including resources the plan lacks.
+        for resource in ("compute:0", "compute:99"):
+            with pytest.raises(ValueError, match=resource):
+                simulate(_chain_plan(), speeds={resource: factor})
 
 
 class TestSimulatorProperties:

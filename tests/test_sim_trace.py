@@ -1,12 +1,9 @@
 """Tests for trace recording and timeline accounting."""
 
-import json
-
 import pytest
 
 from repro.core.plan import ExecutionPlan, TaskKind
 from repro.sim.engine import simulate
-from repro.sim.events import ResourceEvent
 from repro.sim.trace import Trace, TraceSpan, summarize_trace
 
 
@@ -99,25 +96,6 @@ class TestTraceExport:
         row = span(0, TaskKind.ATTENTION, 0, 0.0, 1.0).to_dict()
         del row["aborted"]
         assert not TraceSpan.from_dict(row).aborted
-
-    def test_simulated_abort_survives_export(self):
-        """End to end: a failure mid-plan exports and re-imports faithfully."""
-        plan = ExecutionPlan()
-        a = plan.add("a", TaskKind.ATTENTION, 2.0, ("compute:0",), rank=0)
-        plan.add("b", TaskKind.LINEAR, 1.0, ("compute:0",), deps=[a], rank=0)
-        plan.add("c", TaskKind.ATTENTION, 0.5, ("compute:1",), rank=1)
-        result = simulate(plan, events=[ResourceEvent(1.0, ("compute:0",), None)])
-        assert result.failed
-        text = result.trace.to_json(indent=2)
-        json.loads(text)  # valid JSON
-        restored = Trace.from_json(text)
-        assert restored.spans == result.trace.spans
-        aborted = restored.aborted_spans
-        assert [s.task_id for s in aborted] == [0]
-        assert aborted[0].end_s == pytest.approx(1.0)
-        # Completed work on the surviving rank round-trips too.
-        complete = [s for s in restored.spans if not s.aborted]
-        assert [s.task_id for s in complete] == [2]
 
 
 class TestSummarizeTrace:
