@@ -9,7 +9,7 @@
   of plain DP for short sequences and ring CP for long ones (the "Hybrid DP" /
   ByteScale-style baseline).
 * :class:`~repro.baselines.packing.PackingStrategy` — input-balanced sequence
-  packing (Fig. 2.a / Fig. 3.a).
+  packing (Fig. 2.a).
 
 All strategies implement :class:`~repro.baselines.base.Strategy` and emit
 :class:`~repro.core.plan.ExecutionPlan` task graphs timed by the same

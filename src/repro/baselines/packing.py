@@ -1,25 +1,22 @@
-"""Input-balanced packing baseline (Fig. 2.a / Fig. 3.a).
+"""Input-balanced packing baseline (Fig. 2.a).
 
 Sequences are packed first-fit-decreasing into per-rank buffers of exactly the
 token budget, so every rank sees an identical input tensor shape — perfect for
 linear modules.  Attention, however, is run with the naive packed kernel whose
-single causal mask wastes work on cross-sequence positions, and when Ulysses
-sequence parallelism is layered on top (``ulysses_degree > 1``) every layer
-additionally pays two all-to-alls over the hidden states.
+single causal mask wastes work on cross-sequence positions.
 
-This baseline is used by the Fig. 3.a cost-breakdown reproduction; the paper's
-end-to-end comparison uses TE CP / LLaMA CP / Hybrid DP.
+``repro run`` and ``repro compare`` can select this baseline; the paper's
+end-to-end comparison uses TE CP / LLaMA CP / Hybrid DP, and the Fig. 3.a
+reproduction costs packing + Ulysses analytically instead of planning it.
 """
 
 from __future__ import annotations
 
 from repro.core.plan import ExecutionPlan, TaskKind
-from repro.core.strategy import Strategy, StrategyContext
+from repro.core.strategy import Strategy
 from repro.data.packing import PackedBuffer, pack_sequences
 from repro.data.sampler import Batch
-from repro.model.memory import hidden_bytes_per_token
 from repro.registry import STRATEGIES
-from repro.utils.validation import check_positive
 
 _ATTENTION_PRIORITY = 1
 
@@ -32,19 +29,6 @@ class PackingStrategy(Strategy):
     """First-fit-decreasing packing into fixed-size per-rank buffers."""
 
     name = "Input Pack"
-
-    def __init__(
-        self,
-        context: StrategyContext,
-        cross_sequence_attention: bool = True,
-        ulysses_degree: int = 1,
-    ) -> None:
-        super().__init__(context)
-        self.cross_sequence_attention = cross_sequence_attention
-        check_positive("ulysses_degree", ulysses_degree)
-        self.ulysses_degree = ulysses_degree
-        if ulysses_degree > 1:
-            self.name = f"Input Pack + Ulysses SP{ulysses_degree}"
 
     # -- packing ------------------------------------------------------------------
 
@@ -63,8 +47,8 @@ class PackingStrategy(Strategy):
     build_layout = pack
 
     def attention_seconds(self, buffer: PackedBuffer) -> float:
-        """Attention time of one packed buffer under the configured mask."""
-        pairs = buffer.attention_cost_tokens_sq(self.cross_sequence_attention)
+        """Attention time of one packed buffer under its single causal mask."""
+        pairs = buffer.attention_cost_tokens_sq()
         return self.compute.attention_pairs_time(self.spec, pairs, num_layers=1)
 
     # -- Strategy interface ------------------------------------------------------------
@@ -75,54 +59,25 @@ class PackingStrategy(Strategy):
         plan.metadata["phase"] = phase
         plan.metadata["total_tokens"] = batch.total_tokens
 
-        compute_factor, comm_factor = self.phase_factors(phase)
+        compute_factor, _ = self.phase_factors(phase)
         per_rank = self.layout(batch)
         rank_tasks: dict[int, list[int]] = {r: [] for r in self.cluster.iter_ranks()}
         tokens_per_rank: dict[int, int] = {}
-
-        # Optional Ulysses all-to-all before attention (head <-> sequence swap),
-        # and back after it, in each group of ``ulysses_degree`` DP ranks.
-        ranks = self.context.dp_ranks
-        groups = [
-            group
-            for i in range(0, len(ranks), self.ulysses_degree)
-            if len(group := ranks[i : i + self.ulysses_degree]) >= 2
-        ]
-        per_rank_bytes = hidden_bytes_per_token(self.spec) * self.context.token_budget
-        a2a_ids: dict[int, int] = {}
-        for group in groups:
-            a2a_ids.update(
-                self.emit_all_to_all(
-                    plan, group, per_rank_bytes, {}, label="ulysses_a2a_in", phase=phase
-                )
-            )
 
         for rank, buffers in per_rank.items():
             tokens_per_rank[rank] = sum(b.used for b in buffers)
             if not buffers:
                 continue
             duration = sum(self.attention_seconds(b) for b in buffers) * compute_factor
-            deps = [a2a_ids[rank]] if rank in a2a_ids else []
             tid = plan.add(
                 name=f"attn:packed:rank{rank}:{len(buffers)}buf",
                 kind=TaskKind.ATTENTION,
                 duration_s=duration,
                 resources=(ExecutionPlan.compute_resource(rank),),
-                deps=deps,
                 rank=rank,
                 priority=_ATTENTION_PRIORITY,
             )
             rank_tasks[rank].append(tid)
-
-        for group in groups:
-            self.emit_all_to_all(
-                plan,
-                group,
-                per_rank_bytes,
-                rank_tasks,
-                label="ulysses_a2a_out",
-                phase=phase,
-            )
 
         self.emit_linear(plan, tokens_per_rank, rank_tasks, phase=phase)
         return plan

@@ -90,11 +90,6 @@ class BandwidthProfile:
         check_positive("gpus_per_nic", self.gpus_per_nic)
 
     @property
-    def inter_node_aggregate(self) -> LinkModel:
-        """Aggregate inter-node link when all NICs of a node are used together."""
-        return self.nic.scaled(self.nics_per_node)
-
-    @property
     def b_intra(self) -> float:
         """Inverse intra-node bandwidth (s/byte), the paper's ``b_intra``."""
         return self.intra_node.inverse_bandwidth
@@ -103,15 +98,6 @@ class BandwidthProfile:
     def b_inter(self) -> float:
         """Inverse single-NIC inter-node bandwidth (s/byte), the paper's ``b_inter``."""
         return self.nic.inverse_bandwidth
-
-    @property
-    def bandwidth_gap(self) -> float:
-        """Ratio of intra-node to single-NIC inter-node bandwidth.
-
-        The paper cites a typical ~10x gap on modern GPU clusters; the gap is
-        what makes the three-step routing of §3.3 profitable.
-        """
-        return self.intra_node.bandwidth_bytes_per_s / self.nic.bandwidth_bytes_per_s
 
 
 def gbps(value: float) -> float:

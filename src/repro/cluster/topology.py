@@ -200,26 +200,6 @@ class Cluster:
         """True if two global ranks live on the same node."""
         return self.gpu(rank_a).node_id == self.gpu(rank_b).node_id
 
-    def same_nic(self, rank_a: int, rank_b: int) -> bool:
-        """True if two global ranks share the same NIC (Cluster A affinity)."""
-        return (
-            self.same_node(rank_a, rank_b)
-            and self.nic_of(rank_a).nic_id == self.nic_of(rank_b).nic_id
-        )
-
-    def link_between(self, rank_a: int, rank_b: int) -> LinkModel | None:
-        """Link model for a point-to-point transfer between two ranks.
-
-        Returns ``None`` for a transfer from a rank to itself (no link needed),
-        the intra-node link when both ranks share a node, and the single-NIC
-        inter-node link otherwise.
-        """
-        if rank_a == rank_b:
-            return None
-        if self.same_node(rank_a, rank_b):
-            return self.profile.intra_node
-        return self.profile.nic
-
     def iter_ranks(self) -> Iterator[int]:
         """Iterate over global ranks in order."""
         return iter(range(self.world_size))

@@ -164,9 +164,6 @@ class SequenceQueues:
     intra: list[RingGroup] = field(default_factory=list)
     local: dict[int, list[Placement]] = field(default_factory=dict)
 
-    def all_rings(self) -> list[RingGroup]:
-        return list(self.inter) + list(self.intra)
-
 
 @dataclass
 class AttentionEngine:

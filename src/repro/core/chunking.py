@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from repro.data.packing import split_evenly
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,3 @@ def assignment_imbalance(assignments: list[ChunkAssignment]) -> float:
     if mean == 0:
         return 1.0
     return max(pairs) / mean
-
-
-def round_kv_tokens(assignments: list[ChunkAssignment], ring_index: int) -> int:
-    """Tokens of KV activation a rank forwards per ring round (its owned tokens)."""
-    check_non_negative("ring_index", ring_index)
-    if ring_index >= len(assignments):
-        raise ValueError("ring_index out of range")
-    return assignments[ring_index].tokens

@@ -233,17 +233,6 @@ class ExecutionPlan:
     def num_tasks(self) -> int:
         return len(self._names)
 
-    def total_duration_by_kind(self) -> dict[TaskKind, float]:
-        """Sum of task durations grouped by kind (not wall-clock: ignores overlap)."""
-        totals: dict[TaskKind, float] = {}
-        for kind, duration in zip(self._kinds, self._durations):
-            totals[kind] = totals.get(kind, 0.0) + duration
-        return totals
-
-    def tasks_for_rank(self, rank: int) -> list[Task]:
-        """Tasks attributed to a given rank, in insertion order."""
-        return [t for t in self.tasks if t.rank == rank]
-
     def critical_path_lower_bound(self) -> float:
         """Longest dependency chain duration — a lower bound on the makespan.
 

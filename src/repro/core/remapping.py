@@ -61,13 +61,6 @@ class RemapPlan:
         """Total tokens moved by the plan."""
         return float(sum(sum(row) for row in self.transfer_tokens))
 
-    def send_matrix_bytes(self, bytes_per_token: float) -> list[list[float]]:
-        """Transfer matrix in bytes, for the alltoallv communication model."""
-        check_non_negative("bytes_per_token", bytes_per_token)
-        return [
-            [cell * bytes_per_token for cell in row] for row in self.transfer_tokens
-        ]
-
     def nonzero_transfers(self) -> Iterator[tuple[int, int, float]]:
         """``(i, j, tokens)`` for every nonzero cell of :attr:`transfer_tokens`,
         in row-major order; zero cells are skipped in C, so a plan that moves

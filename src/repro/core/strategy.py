@@ -228,35 +228,3 @@ class Strategy(abc.ABC):
             )
             incoming[dst].append(tid)
         return incoming
-
-    def emit_all_to_all(
-        self,
-        plan: ExecutionPlan,
-        ranks: tuple[int, ...],
-        bytes_per_rank: float,
-        deps_per_rank: dict[int, list[int]],
-        label: str,
-        phase: str = "forward",
-    ) -> dict[int, int]:
-        """Emit a uniform all-to-all among ``ranks`` as one task per rank."""
-        _, comm_factor = self.phase_factors(phase)
-        g = len(ranks)
-        if g <= 1:
-            return {}
-        per_pair = bytes_per_rank * comm_factor / g
-        duration = self.comm.all_to_all_time(ranks, uniform_bytes=per_pair)
-        task_ids: dict[int, int] = {}
-        for rank in ranks:
-            task_ids[rank] = plan.add(
-                name=f"{label}:rank{rank}",
-                kind=TaskKind.ALLGATHER,
-                duration_s=duration,
-                resources=(
-                    ExecutionPlan.nvlink_resource(rank, "tx"),
-                    ExecutionPlan.nvlink_resource(rank, "rx"),
-                ),
-                deps=tuple(deps_per_rank.get(rank, [])),
-                rank=rank,
-                priority=_REMAP_PRIORITY,
-            )
-        return task_ids

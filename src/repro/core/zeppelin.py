@@ -1,18 +1,22 @@
 """The Zeppelin strategy: partitioner + attention engine + routing + remapping.
 
 :class:`ZeppelinStrategy` glues the four layers of §3 together into a single
-:class:`~repro.core.strategy.Strategy`.  The three component switches —
-``use_routing``, ``use_remapping`` and ``balanced_partitioning`` — correspond
-to the ablation configurations of Fig. 11:
+:class:`~repro.core.strategy.Strategy`.  Its two component switches,
+``use_routing`` and ``use_remapping``, give the ablation configurations of
+Fig. 11; the first bar is TE CP with routing, not this class:
 
 ===============================  =========  ===========  =============
 Configuration                     routing    partitioner  remapping
 ===============================  =========  ===========  =============
-``w/ Routing`` (on TE CP)         on         off (even)   off
+``w/ Routing`` (TE CP)            on         off (even)   off
 ``w/ Attn Eng``                   off        on           off
 ``w/ Routing & Attn Eng``         on         on           off
 ``w/ All`` (full Zeppelin)        on         on           on
 ===============================  =========  ===========  =============
+
+``balanced_chunking=False`` replaces the zigzag chunk assignment with a
+contiguous split; Fig. 11 never sets it, and the design-ablation benchmark
+uses it to measure what the zigzag split buys.
 """
 
 from __future__ import annotations

@@ -16,14 +16,14 @@ from repro.model.spec import TransformerSpec
 from repro.utils.validation import check_non_negative, check_positive
 
 # Sustained fraction of peak FLOP/s by kernel family and device generation.
-_DEFAULT_EFFICIENCY = {
+_EFFICIENCY = {
     "A800": {"attention": 0.52, "linear": 0.62},
     "H800": {"attention": 0.42, "linear": 0.55},
     "H200": {"attention": 0.45, "linear": 0.58},
 }
 
 # Fixed launch/setup overhead per kernel invocation (seconds).
-_KERNEL_OVERHEAD_S = 25e-6
+KERNEL_OVERHEAD_S = 25e-6
 
 
 @dataclass(frozen=True)
@@ -35,28 +35,26 @@ class ComputeCostModel:
     peak_flops:
         Peak dense BF16 throughput of the device in FLOP/s.
     device_type:
-        Device model name; selects efficiency factors.
+        Device model name; selects efficiency factors.  One of ``"A800"``,
+        ``"H800"``, ``"H200"``; any other name raises ``ValueError``.
     tensor_parallel:
         Tensor-parallel degree; FLOPs per rank are divided by this factor.
-    efficiency_override:
-        Optional ``{"attention": x, "linear": y}`` overriding the defaults.
     """
 
     peak_flops: float
     device_type: str = "A800"
     tensor_parallel: int = 1
-    efficiency_override: dict | None = None
-    kernel_overhead_s: float = _KERNEL_OVERHEAD_S
     _efficiency: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         check_positive("peak_flops", self.peak_flops)
         check_positive("tensor_parallel", self.tensor_parallel)
-        check_non_negative("kernel_overhead_s", self.kernel_overhead_s)
-        eff = dict(_DEFAULT_EFFICIENCY.get(self.device_type, _DEFAULT_EFFICIENCY["A800"]))
-        if self.efficiency_override:
-            eff.update(self.efficiency_override)
-        object.__setattr__(self, "_efficiency", eff)
+        if self.device_type not in _EFFICIENCY:
+            raise ValueError(
+                f"unknown device type {self.device_type!r}; expected one of "
+                f"{sorted(_EFFICIENCY)}"
+            )
+        object.__setattr__(self, "_efficiency", _EFFICIENCY[self.device_type])
 
     # -- primitive timings ---------------------------------------------------
 
@@ -67,7 +65,7 @@ class ComputeCostModel:
             return 0.0
         eff = self._efficiency[kind]
         sustained = self.peak_flops * eff
-        return self.kernel_overhead_s + flops / self.tensor_parallel / sustained
+        return KERNEL_OVERHEAD_S + flops / self.tensor_parallel / sustained
 
     # -- attention -------------------------------------------------------------
 
@@ -75,13 +73,11 @@ class ComputeCostModel:
         self,
         spec: TransformerSpec,
         seq_len: int,
-        causal: bool = True,
         num_layers: int | None = None,
     ) -> float:
-        """Forward attention time (seconds) for a full sequence on one rank."""
+        """Forward causal-attention time (seconds) for a full sequence on one rank."""
         return self._time(
-            attention_flops(spec, seq_len, causal=causal, num_layers=num_layers),
-            "attention",
+            attention_flops(spec, seq_len, num_layers=num_layers), "attention"
         )
 
     def attention_pairs_time(

@@ -82,20 +82,6 @@ class LengthDistribution:
         """Upper bound of the longest non-empty bin."""
         return max(b.hi for b in self.bins if b.probability > 0)
 
-    def probability_of(self, length: int) -> float:
-        """Probability mass of the bin containing ``length`` (0 if out of range)."""
-        for b in self.bins:
-            if b.contains(length):
-                return b.probability
-        return 0.0
-
-    def bin_of(self, length: int) -> LengthBin | None:
-        """Return the bin containing ``length``, or ``None``."""
-        for b in self.bins:
-            if b.contains(length):
-                return b
-        return None
-
     def long_tail_fraction(self, threshold: int) -> float:
         """Fraction of sequences at least ``threshold`` tokens long."""
         frac = 0.0

@@ -1,19 +1,18 @@
 """Sequence packing and chunking utilities.
 
-These implement the *input-balanced pack* family of baselines (Fig. 2.a):
-sequences are packed into fixed-capacity buffers (first-fit-decreasing) or
-chunked so that every rank receives the same number of tokens.  Packing
-balances linear-module work perfectly but either wastes attention compute on
-cross-sequence positions (when a single dense mask is used) or produces
-imbalanced per-buffer attention cost (when a block-diagonal mask is used) —
-exactly the inefficiency Fig. 3.a quantifies.
+These implement the *input-balanced pack* baseline (Fig. 2.a): sequences are
+packed into fixed-capacity buffers (first-fit-decreasing) or chunked so that
+every rank receives the same number of tokens.  Packing balances linear-module
+work perfectly, but the naive packed kernel's single causal mask wastes
+attention compute on cross-sequence positions — the inefficiency Fig. 3.a
+quantifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.data.sampler import Batch, Sequence
+from repro.data.sampler import Batch
 from repro.utils.validation import check_positive
 
 
@@ -45,11 +44,6 @@ class PackedBuffer:
     def free(self) -> int:
         return self.capacity - self.used
 
-    @property
-    def padding(self) -> int:
-        """Unused (padded) tokens if the buffer were materialised as-is."""
-        return self.free
-
     def add(self, seq_id: int, length: int) -> None:
         """Pack ``length`` tokens of sequence ``seq_id`` into this buffer."""
         check_positive("length", length)
@@ -59,33 +53,20 @@ class PackedBuffer:
             )
         self.segments.append((seq_id, length))
 
-    def attention_cost_tokens_sq(self, cross_sequence: bool) -> float:
+    def attention_cost_tokens_sq(self) -> float:
         """Causal-attention cost of this buffer in units of tokens^2.
 
-        With ``cross_sequence=True`` the whole buffer is treated as one causal
-        sequence (the naive packed-attention kernel): cost ``used^2 / 2``.  With
-        ``cross_sequence=False`` a block-diagonal mask restricts attention to
-        each segment: cost ``sum(len_i^2) / 2``.
+        The naive packed-attention kernel treats the whole buffer as one causal
+        sequence, so the cost is ``used^2 / 2`` whatever its segments.
         """
-        if cross_sequence:
-            return self.used**2 / 2.0
-        return sum(length**2 for _, length in self.segments) / 2.0
-
-    def redundant_attention_tokens_sq(self) -> float:
-        """Wasted attention compute (tokens^2) of the naive packed kernel.
-
-        The difference between attending over the whole buffer and attending
-        only within segments — the "redundant computation" of Fig. 3.a.
-        """
-        return self.attention_cost_tokens_sq(True) - self.attention_cost_tokens_sq(False)
+        return self.used**2 / 2.0
 
 
-def pack_sequences(
-    batch: Batch,
-    capacity: int,
-    split_oversized: bool = True,
-) -> list[PackedBuffer]:
+def pack_sequences(batch: Batch, capacity: int) -> list[PackedBuffer]:
     """Pack a batch into fixed-capacity buffers using first-fit-decreasing.
+
+    Sequences longer than ``capacity`` are split into capacity-sized
+    fragments.
 
     Parameters
     ----------
@@ -93,9 +74,6 @@ def pack_sequences(
         The input batch.
     capacity:
         Per-buffer token capacity (typically the per-rank token budget).
-    split_oversized:
-        When ``True`` (default) sequences longer than ``capacity`` are split
-        into capacity-sized fragments; when ``False`` such sequences raise.
 
     Returns
     -------
@@ -117,11 +95,6 @@ def pack_sequences(
 
     for seq in batch.sorted_by_length(descending=True):
         if seq.length > capacity:
-            if not split_oversized:
-                raise ValueError(
-                    f"sequence {seq.seq_id} of length {seq.length} exceeds buffer "
-                    f"capacity {capacity}"
-                )
             for fragment in chunk_sequence(seq.length, capacity):
                 place(seq.seq_id, fragment)
         else:
@@ -157,27 +130,3 @@ def split_evenly(length: int, parts: int) -> list[int]:
     base = length // parts
     extra = length % parts
     return [base + (1 if i < extra else 0) for i in range(parts)]
-
-
-def packing_statistics(buffers: list[PackedBuffer]) -> dict[str, float]:
-    """Aggregate packing quality metrics used by the Fig. 3.a reproduction."""
-    if not buffers:
-        return {
-            "num_buffers": 0,
-            "total_tokens": 0,
-            "padding_tokens": 0,
-            "padding_fraction": 0.0,
-            "redundant_attention_fraction": 0.0,
-        }
-    total = sum(b.used for b in buffers)
-    padding = sum(b.padding for b in buffers)
-    useful = sum(b.attention_cost_tokens_sq(False) for b in buffers)
-    redundant = sum(b.redundant_attention_tokens_sq() for b in buffers)
-    denom = useful + redundant
-    return {
-        "num_buffers": float(len(buffers)),
-        "total_tokens": float(total),
-        "padding_tokens": float(padding),
-        "padding_fraction": padding / (total + padding) if total + padding else 0.0,
-        "redundant_attention_fraction": redundant / denom if denom else 0.0,
-    }

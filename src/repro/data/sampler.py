@@ -61,10 +61,6 @@ class Batch:
     def max_length(self) -> int:
         return max(s.length for s in self.sequences)
 
-    @property
-    def min_length(self) -> int:
-        return min(s.length for s in self.sequences)
-
     def sorted_by_length(self, descending: bool = True) -> tuple[Sequence, ...]:
         """Sequences sorted by length (descending by default, as in Alg. 1)."""
         return tuple(
@@ -90,6 +86,10 @@ class Batch:
 class BatchSampler:
     """Samples batches whose total token count matches a context budget.
 
+    When the final sampled sequence would overflow the budget, it is truncated
+    to exactly fill the budget, matching how training recipes cut documents at
+    the context boundary.
+
     Parameters
     ----------
     distribution:
@@ -99,17 +99,11 @@ class BatchSampler:
         e.g. 64k for 16 GPUs at 4k tokens per GPU).
     seed:
         RNG seed; batches are reproducible given the same seed.
-    allow_truncation:
-        When the final sampled sequence would overflow the budget, truncate it
-        to exactly fill the budget (the default, matching how training recipes
-        cut documents at the context boundary).  When ``False`` the overflowing
-        sequence is dropped and the batch may come in slightly under budget.
     """
 
     distribution: LengthDistribution
     total_context: int
     seed: int = 0
-    allow_truncation: bool = True
     _rng: np.random.Generator = field(init=False, repr=False)
     _next_id: int = field(default=0, init=False, repr=False)
 
@@ -131,10 +125,9 @@ class BatchSampler:
                 break
             length = self.distribution.sample_lengths(1, self._rng)[0]
             if length > remaining:
-                if self.allow_truncation and remaining >= 64:
-                    length = remaining
-                else:
+                if remaining < 64:
                     break
+                length = remaining
             sequences.append(Sequence(seq_id=self._next_id, length=length))
             self._next_id += 1
             remaining -= length

@@ -13,13 +13,7 @@ from repro.model.spec import (
     get_model,
     available_models,
 )
-from repro.model.flops import (
-    attention_flops,
-    attention_flops_chunk,
-    linear_flops_per_token,
-    moe_flops_per_token,
-    iteration_flops,
-)
+from repro.model.flops import attention_flops, linear_flops_per_token
 from repro.model.memory import (
     parameter_bytes,
     kv_bytes_per_token,
@@ -34,10 +28,7 @@ __all__ = [
     "get_model",
     "available_models",
     "attention_flops",
-    "attention_flops_chunk",
     "linear_flops_per_token",
-    "moe_flops_per_token",
-    "iteration_flops",
     "parameter_bytes",
     "kv_bytes_per_token",
     "activation_bytes_per_token",

@@ -17,18 +17,13 @@ from __future__ import annotations
 from repro.model.spec import TransformerSpec
 from repro.utils.validation import check_non_negative
 
-# Backward pass performs roughly twice the forward FLOPs (two matmuls per
-# forward matmul: grad wrt input and grad wrt weight).
-BACKWARD_FLOP_MULTIPLIER = 2.0
-
 
 def attention_flops(
     spec: TransformerSpec,
     seq_len: int,
-    causal: bool = True,
     num_layers: int | None = None,
 ) -> float:
-    """FLOPs of the attention score/value matmuls for one sequence.
+    """FLOPs of the causal attention score/value matmuls for one sequence.
 
     The two batched matmuls (``QK^T`` and ``PV``) each cost
     ``2 * s^2 * hidden`` FLOPs for full attention; the causal mask halves the
@@ -37,49 +32,7 @@ def attention_flops(
     """
     check_non_negative("seq_len", seq_len)
     layers = spec.num_layers if num_layers is None else num_layers
-    full = 2.0 * 2.0 * seq_len * seq_len * spec.hidden_size
-    if causal:
-        full *= 0.5
-    return full * layers
-
-
-def attention_flops_chunk(
-    spec: TransformerSpec,
-    query_tokens: int,
-    kv_tokens: int,
-    num_layers: int | None = None,
-) -> float:
-    """FLOPs for attending ``query_tokens`` queries against ``kv_tokens`` keys.
-
-    Used for ring-attention rounds and for the causal-balanced chunk
-    assignment, where a rank computes attention of its query chunk against a
-    rotating KV chunk.  No causal halving is applied here: the caller passes
-    the exact (query, kv) extents visible under the mask.
-    """
-    check_non_negative("query_tokens", query_tokens)
-    check_non_negative("kv_tokens", kv_tokens)
-    layers = spec.num_layers if num_layers is None else num_layers
-    return 2.0 * 2.0 * query_tokens * kv_tokens * spec.hidden_size * layers
-
-
-def causal_chunk_flops(
-    spec: TransformerSpec,
-    chunk_start: int,
-    chunk_len: int,
-    num_layers: int | None = None,
-) -> float:
-    """FLOPs of a causal-attention chunk starting at ``chunk_start``.
-
-    Tokens in ``[chunk_start, chunk_start + chunk_len)`` attend to all earlier
-    tokens and to themselves; the cost is the number of (query, key) pairs
-    under the causal mask times ``4 * hidden`` FLOPs per pair.
-    """
-    check_non_negative("chunk_start", chunk_start)
-    check_non_negative("chunk_len", chunk_len)
-    layers = spec.num_layers if num_layers is None else num_layers
-    # sum_{i=0}^{chunk_len-1} (chunk_start + i + 1)
-    pairs = chunk_len * (chunk_start + 1) + chunk_len * (chunk_len - 1) / 2.0
-    return 4.0 * pairs * spec.hidden_size * layers
+    return 2.0 * seq_len * seq_len * spec.hidden_size * layers
 
 
 def linear_flops_per_token(spec: TransformerSpec, num_layers: int | None = None) -> float:
@@ -101,29 +54,6 @@ def linear_flops_per_token(spec: TransformerSpec, num_layers: int | None = None)
     return per_layer * layers
 
 
-def moe_flops_per_token(spec: TransformerSpec, num_layers: int | None = None) -> float:
-    """Per-token FLOPs of only the expert MLPs (0 for dense models)."""
-    if spec.moe is None:
-        return 0.0
-    layers = spec.num_layers if num_layers is None else num_layers
-    return 2.0 * 3.0 * spec.hidden_size * spec.ffn_hidden_size * spec.moe.top_k * layers
-
-
 def embedding_flops_per_token(spec: TransformerSpec) -> float:
     """Per-token FLOPs of the LM head projection (the only large embedding matmul)."""
     return 2.0 * spec.hidden_size * spec.vocab_size
-
-
-def iteration_flops(
-    spec: TransformerSpec,
-    seq_lengths: list[int] | tuple[int, ...],
-    include_backward: bool = True,
-) -> float:
-    """Total FLOPs of one forward(+backward) pass over a batch of sequences."""
-    total_tokens = sum(seq_lengths)
-    fwd = sum(attention_flops(spec, s) for s in seq_lengths)
-    fwd += linear_flops_per_token(spec) * total_tokens
-    fwd += embedding_flops_per_token(spec) * total_tokens
-    if include_backward:
-        return fwd * (1.0 + BACKWARD_FLOP_MULTIPLIER)
-    return fwd

@@ -9,7 +9,7 @@ communication volume of ring attention (what actually moves over NICs).
 from __future__ import annotations
 
 from repro.model.spec import TransformerSpec
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 # Bytes of optimizer + gradient state per parameter under mixed-precision Adam
 # with ZeRO-1 style sharding folded in (a coarse but standard 6 bytes/param:
@@ -18,6 +18,9 @@ _OPTIMIZER_BYTES_PER_PARAM = 6.0
 
 # Fraction of activation memory kept after selective recomputation.
 _ACTIVATION_CHECKPOINT_FACTOR = 0.35
+
+# Fraction of HBM held back for workspace and fragmentation.
+_RESERVE_FRACTION = 0.1
 
 
 def parameter_bytes(spec: TransformerSpec, tensor_parallel: int = 1) -> float:
@@ -71,7 +74,6 @@ def token_capacity(
     spec: TransformerSpec,
     gpu_memory_bytes: float,
     tensor_parallel: int = 1,
-    reserve_fraction: float = 0.1,
 ) -> int:
     """Maximum number of tokens a single GPU can hold — the paper's ``L``.
 
@@ -79,10 +81,7 @@ def token_capacity(
     workspace/fragmentation) divided by the per-token activation footprint.
     """
     check_positive("gpu_memory_bytes", gpu_memory_bytes)
-    check_non_negative("reserve_fraction", reserve_fraction)
-    if reserve_fraction >= 1.0:
-        raise ValueError("reserve_fraction must be < 1")
-    usable = gpu_memory_bytes * (1.0 - reserve_fraction)
+    usable = gpu_memory_bytes * (1.0 - _RESERVE_FRACTION)
     usable -= parameter_bytes(spec, tensor_parallel)
     if usable <= 0:
         raise ValueError(

@@ -1,5 +1,7 @@
 """Tests for the attention engine: queues, ring rounds, routed hops."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,7 +76,7 @@ class TestQueueConstruction:
         zones_in_partition = {p.zone for ps in partition.placements.values() for p in ps}
         if Zone.LOCAL in zones_in_partition:
             assert queues.local
-        assert len(queues.all_rings()) == len(partition.rings)
+        assert len(queues.inter) + len(queues.intra) == len(partition.rings)
 
     def test_ring_group_work_conserves_causal_pairs(self, cluster_a2, mixed_batch, spec_7b):
         partition = SequencePartitioner(cluster=cluster_a2, token_budget=4096).partition(
@@ -82,7 +84,7 @@ class TestQueueConstruction:
         )
         engine = make_engine(cluster_a2)
         queues = engine.build_queues(partition)
-        for group in queues.all_rings():
+        for group in queues.inter + queues.intra:
             seq_len = group.spec.seq_len
             total_pairs = sum(
                 group.round_pairs(i, r)
@@ -157,6 +159,27 @@ class TestEmission:
         kinds = {t.kind for t in plan.tasks}
         assert TaskKind.ATTENTION in kinds
         assert TaskKind.INTRA_COMM in kinds or TaskKind.INTER_COMM in kinds
+
+    def test_ring_hops_carry_the_owner_kv_chunk(self, cluster_a2, spec_7b):
+        # In round k, ring index i forwards the KV chunks owned by (i - k) mod G.
+        ranks = (0, 1, 2, 3)
+        spec = RingSpec(
+            ring_id=0, seq_id=0, zone=Zone.INTRA_NODE, ranks=ranks, seq_len=1001
+        )
+        group = RingGroup(spec=spec, assignments=tuple(zigzag_assignment(1001, 4)))
+        assert len({group.tokens_of(o) for o in range(4)}) > 1
+        engine = make_engine(cluster_a2)
+        plan = ExecutionPlan(name="ring")
+        engine.emit_ring(plan, group, spec_7b, 1.0, 1.0, {r: [] for r in ranks})
+        kv_per_token = engine.comm.kv_chunk_bytes(spec_7b, 1)
+        hops = [t for t in plan.tasks if t.name.startswith("hop:")]
+        assert len(hops) == 4 * 3
+        for task in hops:
+            match = re.search(r":r(\d+):(\d+)->", task.name)
+            round_index, src = map(int, match.groups())
+            owner = (ranks.index(src) - round_index) % 4
+            nbytes = group.tokens_of(owner) * kv_per_token
+            assert task.duration_s == pytest.approx(engine.comm.intra_node_time(nbytes))
 
     def test_routed_plan_has_dispatch_and_combine(self, cluster_a2, spec_7b):
         # A single cluster-spanning sequence forces inter-node hops.

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.chunking import (
     assignment_imbalance,
     contiguous_assignment,
-    round_kv_tokens,
     zigzag_assignment,
 )
 
@@ -61,18 +60,6 @@ class TestContiguousAssignment:
     def test_tokens_still_partition(self):
         assignments = contiguous_assignment(513, 4)
         assert sum(a.tokens for a in assignments) == 513
-
-
-class TestRoundKvTokens:
-    def test_matches_owned_tokens(self):
-        assignments = zigzag_assignment(640, 4)
-        for i, a in enumerate(assignments):
-            assert round_kv_tokens(assignments, i) == a.tokens
-
-    def test_out_of_range_raises(self):
-        assignments = zigzag_assignment(64, 2)
-        with pytest.raises(ValueError):
-            round_kv_tokens(assignments, 5)
 
 
 class TestChunkingProperties:

@@ -30,21 +30,15 @@ class TestPlanConstruction:
         plan.add("b", TaskKind.INTER_COMM, 0.5, ("nic:0:tx",), deps=[a])
         plan.validate()
 
-    def test_total_duration_by_kind(self):
+    def test_task_rows_keep_rank_and_resource_names(self):
         plan = ExecutionPlan()
-        plan.add("a", TaskKind.ATTENTION, 1.0, ())
-        plan.add("b", TaskKind.ATTENTION, 2.0, ())
-        plan.add("c", TaskKind.LINEAR, 0.5, ())
-        totals = plan.total_duration_by_kind()
-        assert totals[TaskKind.ATTENTION] == pytest.approx(3.0)
-        assert totals[TaskKind.LINEAR] == pytest.approx(0.5)
-
-    def test_tasks_for_rank(self):
-        plan = ExecutionPlan()
-        plan.add("a", TaskKind.ATTENTION, 1.0, (), rank=3)
-        plan.add("b", TaskKind.ATTENTION, 1.0, (), rank=5)
-        plan.add("c", TaskKind.LINEAR, 1.0, (), rank=3)
-        assert [t.name for t in plan.tasks_for_rank(3)] == ["a", "c"]
+        plan.add("a", TaskKind.ATTENTION, 1.0, ("compute:3",), rank=3)
+        plan.add("b", TaskKind.ATTENTION, 1.0, ("compute:5",), rank=5)
+        plan.add("c", TaskKind.LINEAR, 1.0, ("compute:3",), deps=[0], rank=3)
+        assert [t.name for t in plan.tasks if t.rank == 3] == ["a", "c"]
+        # Resource names are interned to ids and read back by name.
+        assert plan.tasks[2].resources == ("compute:3",)
+        assert plan.tasks[2].deps == (0,)
 
 
 class TestNoTaskObjectsOnTheHotPath:

@@ -1,4 +1,4 @@
-"""Tests for the shared Strategy emission helpers (linear, remap, all-to-all)."""
+"""Tests for the shared Strategy emission helpers (linear, remap)."""
 
 import pytest
 
@@ -6,6 +6,7 @@ from repro.baselines.te_cp import TransformerEngineCPStrategy
 from repro.core.plan import ExecutionPlan, TaskKind
 from repro.core.remapping import RemappingLayer
 from repro.core.strategy import Strategy
+from repro.model.memory import hidden_bytes_per_token
 from repro.sim.engine import simulate
 
 
@@ -67,6 +68,27 @@ class TestEmitRemap:
         # Simulation completes.
         assert simulate(plan).makespan_s > 0
 
+    def test_transfer_durations_follow_token_counts(self, strategy, cluster_a2, spec_7b):
+        remap_plan = RemappingLayer(cluster=cluster_a2).plan(
+            {r: (8192 if r == 0 else 3500) for r in cluster_a2.iter_ranks()}
+        )
+        plan = ExecutionPlan()
+        strategy.emit_remap(plan, remap_plan, {}, phase="forward")
+        transfers = [
+            (remap_plan.ranks[i], remap_plan.ranks[j], tokens)
+            for i, j, tokens in remap_plan.nonzero_transfers()
+            if i != j
+        ]
+        assert len(transfers) == plan.num_tasks
+        for (src, dst, tokens), task in zip(transfers, plan.tasks):
+            nbytes = tokens * hidden_bytes_per_token(spec_7b)
+            if cluster_a2.same_node(src, dst):
+                expected = strategy.comm.intra_node_time(nbytes)
+            else:
+                expected = strategy.comm.inter_node_time(nbytes, nics=1)
+            assert task.rank == src
+            assert task.duration_s == pytest.approx(expected)
+
     def test_balanced_plan_emits_nothing(self, strategy, cluster_a2):
         remap_plan = RemappingLayer(cluster=cluster_a2).plan(
             {r: 4096 for r in cluster_a2.iter_ranks()}
@@ -75,26 +97,3 @@ class TestEmitRemap:
         incoming = strategy.emit_remap(plan, remap_plan, {})
         assert plan.num_tasks == 0
         assert all(not v for v in incoming.values())
-
-    def test_send_matrix_bytes_scaling(self, cluster_a2):
-        remap_plan = RemappingLayer(cluster=cluster_a2).plan(
-            {r: (8192 if r == 0 else 3500) for r in cluster_a2.iter_ranks()}
-        )
-        matrix = remap_plan.send_matrix_bytes(bytes_per_token=100.0)
-        for i, row in enumerate(matrix):
-            for j, cell in enumerate(row):
-                assert cell == pytest.approx(remap_plan.transfer_tokens[i][j] * 100.0)
-
-
-class TestEmitAllToAll:
-    def test_single_rank_group_is_a_noop(self, strategy):
-        plan = ExecutionPlan()
-        assert strategy.emit_all_to_all(plan, (0,), 1e6, {}, label="a2a") == {}
-        assert plan.num_tasks == 0
-
-    def test_group_emits_one_task_per_rank(self, strategy):
-        plan = ExecutionPlan()
-        ids = strategy.emit_all_to_all(plan, (0, 1, 2, 3), 4e6, {}, label="a2a")
-        assert len(ids) == 4
-        durations = {plan.tasks[t].duration_s for t in ids.values()}
-        assert len(durations) == 1, "uniform all-to-all has a uniform per-rank time"

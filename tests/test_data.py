@@ -14,6 +14,8 @@ from repro.data.datasets import (
 )
 from repro.data.distributions import (
     TABLE2_DISTRIBUTIONS,
+    LengthBin,
+    LengthDistribution,
     available_distributions,
     get_distribution,
 )
@@ -21,7 +23,6 @@ from repro.data.packing import (
     PackedBuffer,
     chunk_sequence,
     pack_sequences,
-    packing_statistics,
     split_evenly,
 )
 from repro.data.sampler import Batch, BatchSampler, Sequence
@@ -50,11 +51,13 @@ class TestDistributions:
         dist = get_distribution("arxiv")
         rng = np.random.default_rng(0)
         for length in dist.sample_lengths(500, rng):
-            assert dist.bin_of(length) is not None
+            assert any(b.contains(length) for b in dist.bins)
 
-    def test_probability_of_out_of_range_length(self):
-        dist = get_distribution("arxiv")
-        assert dist.probability_of(10**9) == 0.0
+    def test_unnormalised_bins_rejected(self):
+        with pytest.raises(ValueError, match="must sum to 1"):
+            LengthDistribution(
+                name="bad", bins=(LengthBin(lo=64, hi=128, probability=0.5),)
+            )
 
     def test_mean_length_ordering(self):
         # ProLong64k is dominated by 32-64k documents; ArXiv is mid-length.
@@ -80,12 +83,15 @@ class TestBatchSampler:
         b = BatchSampler(get_distribution("github"), total_context=32768, seed=2).sample_batch()
         assert a.lengths != b.lengths
 
-    def test_no_truncation_mode_never_exceeds_budget(self):
-        sampler = BatchSampler(
-            get_distribution("arxiv"), total_context=16384, seed=3, allow_truncation=False
-        )
-        batch = sampler.sample_batch()
-        assert batch.total_tokens <= 16384
+    def test_batches_never_overflow_the_budget(self):
+        # The last sequence is cut at the budget; under 64 tokens left over
+        # ends the batch instead.
+        for seed in range(10):
+            sampler = BatchSampler(
+                get_distribution("github"), total_context=16384, seed=seed
+            )
+            for batch in sampler.sample_batches(3):
+                assert 16384 - 64 < batch.total_tokens <= 16384
 
     def test_sequence_ids_unique_across_batches(self):
         sampler = BatchSampler(get_distribution("arxiv"), total_context=16384, seed=5)
@@ -102,7 +108,7 @@ class TestBatch:
     def test_from_lengths(self):
         batch = Batch.from_lengths([10, 20, 30])
         assert batch.total_tokens == 60
-        assert batch.max_length == 30 and batch.min_length == 10
+        assert batch.max_length == 30
 
     def test_sorted_by_length(self):
         batch = Batch.from_lengths([10, 30, 20])
@@ -160,10 +166,10 @@ class TestPacking:
         buffers = pack_sequences(batch, capacity=4096)
         assert sum(b.used for b in buffers) == 10000
 
-    def test_oversized_rejected_when_splitting_disabled(self):
-        batch = Batch.from_lengths([10000])
-        with pytest.raises(ValueError):
-            pack_sequences(batch, capacity=4096, split_oversized=False)
+    def test_oversized_fragments_fill_whole_buffers(self):
+        buffers = pack_sequences(Batch.from_lengths([10000]), capacity=4096)
+        assert [b.used for b in buffers] == [4096, 4096, 1808]
+        assert all(b.segments == [(0, b.used)] for b in buffers)
 
     def test_buffer_overflow_rejected(self):
         buf = PackedBuffer(capacity=100)
@@ -171,24 +177,12 @@ class TestPacking:
         with pytest.raises(ValueError):
             buf.add(1, 30)
 
-    def test_redundant_attention_positive_only_when_multiple_segments(self):
-        single = PackedBuffer(capacity=100)
-        single.add(0, 100)
-        assert single.redundant_attention_tokens_sq() == 0.0
+    def test_packed_attention_spans_the_whole_buffer(self):
+        # The packed kernel's one causal mask covers both segments.
         packed = PackedBuffer(capacity=100)
         packed.add(0, 50)
         packed.add(1, 50)
-        assert packed.redundant_attention_tokens_sq() > 0.0
-
-    def test_packing_statistics(self):
-        batch = Batch.from_lengths([512] * 8)
-        buffers = pack_sequences(batch, capacity=4096)
-        stats = packing_statistics(buffers)
-        assert stats["total_tokens"] == 4096
-        assert 0.0 < stats["redundant_attention_fraction"] < 1.0
-
-    def test_packing_statistics_empty(self):
-        assert packing_statistics([])["num_buffers"] == 0
+        assert packed.attention_cost_tokens_sq() == 100**2 / 2
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -67,6 +67,12 @@ STRATEGIES = {
         {"balanced_chunking": False, "remap_solver": "greedy"},
     ),
     "zeppelin-noremap": ("zeppelin", {"use_remapping": False}),
+    # Fig. 11's "w/ Attn Eng" bar: partitioning and the attention engine only.
+    "zeppelin-attn-eng": (
+        "zeppelin",
+        {"use_routing": False, "use_remapping": False},
+    ),
+    "packing": ("packing", {}),
 }
 
 PHASES = ("forward", "backward")

@@ -143,16 +143,35 @@ class TestPackingStrategy:
         total = sum(b.used for buffers in per_rank.values() for b in buffers)
         assert total == mixed_batch.total_tokens
 
-    def test_cross_sequence_attention_costs_more(self, context_16, short_batch):
-        naive = PackingStrategy(context_16, cross_sequence_attention=True)
-        masked = PackingStrategy(context_16, cross_sequence_attention=False)
-        assert makespan(naive, short_batch) >= makespan(masked, short_batch)
-
-    def test_ulysses_variant_adds_all_to_all(self, context_16, short_batch):
-        strategy = PackingStrategy(context_16, ulysses_degree=8)
+    def test_packed_mask_costs_more_than_per_sequence_masks(self, context_16, short_batch):
+        # Fig. 2.a: one causal mask over the buffer also pays for the
+        # cross-sequence pairs that per-sequence masks would skip.
+        strategy = PackingStrategy(context_16)
         plan = strategy.plan_layer(short_batch)
-        assert any(t.kind == TaskKind.ALLGATHER for t in plan.tasks)
-        assert "Ulysses" in strategy.name
+        multi_segment = 0
+        for rank, buffers in strategy.pack(short_batch).items():
+            if not buffers:
+                continue
+            (task,) = [
+                t for t in plan.tasks if t.rank == rank and t.kind == TaskKind.ATTENTION
+            ]
+            per_sequence = sum(
+                strategy.compute.attention_time(context_16.spec, length, num_layers=1)
+                for b in buffers
+                for _, length in b.segments
+            )
+            assert task.duration_s == pytest.approx(
+                sum(strategy.attention_seconds(b) for b in buffers)
+            )
+            if any(len(b.segments) > 1 for b in buffers):
+                multi_segment += 1
+                assert task.duration_s > per_sequence
+        assert multi_segment > 0
+
+    def test_plan_has_no_communication(self, context_16, mixed_batch):
+        # Pure data parallelism: every rank attends over its own buffers.
+        plan = PackingStrategy(context_16).plan_layer(mixed_batch, phase="backward")
+        assert {t.kind for t in plan.tasks} == {TaskKind.ATTENTION, TaskKind.LINEAR}
 
 
 class TestZeppelinStrategy:
